@@ -1,8 +1,8 @@
-"""Benchmark the pure-Python grid kernels against the compiled twin.
+"""Benchmark the exact sparse product kernel ``_core.mul_grid``.
 
-The workload is the hot loop of the exact checks: sparse products of the
-spinorial R-matrix embeddings on the d=6 triple tensor space (dimension 512)
-and on the d=8 pair space when requested.
+The workload is the hot loop of the exact checks: the product R12 R23 of
+spinorial R-matrix embeddings on the triple tensor space (dimension 512 at
+the default d=6, 4096 at d=8).
 
 Usage: python benchmarks/bench_kernel.py [--d 6] [--repeat 5]
 """
@@ -16,11 +16,6 @@ from ybverify.clifford import build_gamma
 from ybverify.kernel import SparseOperator, kron
 from ybverify.rmatrix import Normalization, assemble_spinor_R, coefficients
 
-try:
-    from ybverify import _corex
-except ImportError:
-    _corex = None
-
 
 def workload(d):
     basis = build_gamma(d)
@@ -32,13 +27,13 @@ def workload(d):
     return r12._rows, r23._rows
 
 
-def bench(kernel, arows, brows, repeat):
+def bench(arows, brows, repeat):
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        out = kernel.mul_grid(arows, brows)
+        _core.mul_grid(arows, brows)
         best = min(best, time.perf_counter() - start)
-    return best, out
+    return best
 
 
 def main():
@@ -51,14 +46,8 @@ def main():
     nnz = sum(len(r) for r in arows.values())
     print(f"d={args.d}: multiplying two {len(arows)}-row grids, {nnz} nonzeros each")
 
-    t_py, out_py = bench(_core, arows, brows, args.repeat)
+    t_py = bench(arows, brows, args.repeat)
     print(f"  python : {t_py * 1000:8.2f} ms")
-    if _corex is None:
-        print("  cython : not built (pip install -e . to compile)")
-        return
-    t_cy, out_cy = bench(_corex, arows, brows, args.repeat)
-    assert out_py == out_cy, "backends disagree"
-    print(f"  cython : {t_cy * 1000:8.2f} ms   (speedup {t_py / t_cy:.2f}x)")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,7 @@
 
 A grid is ``{row: {col: (re, im)}}`` with arbitrary-precision integer parts
 and no stored zeros.  All exact matrix arithmetic reduces to these five
-functions; ``ybverify._corex`` is a compiled twin with identical semantics,
-and ``ybverify.kernel`` picks whichever imports.
+functions, which ``ybverify.kernel`` wraps.
 """
 
 from math import gcd

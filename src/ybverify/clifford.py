@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .kernel import ExactScalar, SparseOperator, kron
+from .kernel import ExactScalar, SparseOperator, embed, kron
 
 DEFAULT_MAX_D = 8
 
@@ -183,27 +183,31 @@ def graded_rep(basis: GammaBasis, n: int) -> GradedRep:
 
 def as_exp_components(rep: GradedRep, i: int, j: int):
     """S_k = s_k * sum over |A| = k of Gamma_{i,A} Gamma_{j,A}, k = 0..d,
-    with s_k = (-1)^(k(k-1)/2); so E_ij(t) = sum_k t^k S_k."""
-    if i == j:
-        raise ValueError("copies must differ")
+    with s_k = (-1)^(k(k-1)/2); so E_ij(t) = sum_k t^k S_k.
+
+    Only adjacent copies j = i + 1 are supported.  On their two slots
+    Gamma_{i,A} = gamma_A (x) 1 and Gamma_{j,A} = gamma5^k (x) gamma_A, and
+    both are 1 on every other slot, so S_k is the two-copy
+    s_k * T_k (gamma5^k (x) 1), with T_k the pair contraction, embedded with
+    identities on the other copies.
+    """
+    if j != i + 1 or not 1 <= i < rep.n:
+        raise ValueError(f"As-components need adjacent copies (i, i+1), got ({i}, {j})")
     key = (i, j)
     cached = rep._components.get(key)
     if cached is not None:
         return cached
-    d = rep.basis.d
+    basis = rep.basis
+    dims = [basis.dim ** (i - 1), basis.dim ** 2, basis.dim ** (rep.n - j)]
+    g5 = kron(basis.gamma5, SparseOperator.identity(basis.dim))
     comps = []
-    for k in range(d + 1):
-        acc = SparseOperator.zero(rep.dim)
-        for A in combinations(range(1, d + 1), k):
-            gi = gj = None
-            for a in A:
-                gi = rep.op(i, a) if gi is None else gi @ rep.op(i, a)
-                gj = rep.op(j, a) if gj is None else gj @ rep.op(j, a)
-            if gi is None:
-                gi = gj = SparseOperator.identity(rep.dim)
-            acc = acc + gi @ gj
-        sk = 1 if (k * (k - 1) // 2) % 2 == 0 else -1
-        comps.append(acc if sk == 1 else -acc)
+    for k in range(basis.d + 1):
+        sk = basis.pair_contraction(k)
+        if k % 2:
+            sk = sk @ g5
+        if (k * (k - 1) // 2) % 2:
+            sk = -sk
+        comps.append(embed(sk, 1, dims))
     cached = tuple(comps)
     rep._components[key] = cached
     return cached

@@ -6,8 +6,7 @@ operator is stored as a Gaussian-integer grid over one positive common
 denominator; sums and products then run in pure integer arithmetic, with a
 single gcd normalization at the end of each operation.
 
-The grid kernels live in ``_core`` (pure Python) with a compiled twin in
-``_corex`` (Cython); whichever imports is used.
+The grid kernels live in ``_core``.
 """
 
 from __future__ import annotations
@@ -15,10 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-try:
-    from . import _corex as _k
-except ImportError:  # compiled kernel is optional
-    from . import _core as _k
+from . import _core as _k
 
 BACKEND = _k.BACKEND
 

@@ -121,8 +121,8 @@ def _exact_report(check_id, params, diffs, timer, convention=None) -> CheckRepor
                        elapsed_ms=timer.elapsed_ms, detail=convention)
 
 
-def _skip(check_id, params, dim, cap) -> CheckReport:
-    return CheckReport(check_id, params, Status.SKIPPED, exact=True,
+def _skip(check_id, params, dim, cap, exact=True) -> CheckReport:
+    return CheckReport(check_id, params, Status.SKIPPED, exact=exact,
                        detail=f"working dimension {dim} reaches budget cap {cap}")
 
 

@@ -7,7 +7,7 @@ evaluations), so an agreement is a genuine cross-check.
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from ybverify.kernel import ExactScalar, SparseOperator
 
@@ -39,6 +39,23 @@ def brute_antisym(basis, indices):
     for j in range(2, k + 1):
         inv_fact /= j
     return acc.scale(inv_fact)
+
+
+def brute_as_exp_components(rep, i, j):
+    """S_k = s_k * sum over |A| = k of Gamma_{i,A} Gamma_{j,A}, each term an
+    ordered product of the graded copy generators."""
+    d = rep.basis.d
+    comps = []
+    for k in range(d + 1):
+        acc = SparseOperator.zero(rep.dim)
+        for A in combinations(range(1, d + 1), k):
+            gi = gj = SparseOperator.identity(rep.dim)
+            for a in A:
+                gi = gi @ rep.op(i, a)
+                gj = gj @ rep.op(j, a)
+            acc = acc + gi @ gj
+        comps.append(acc if (k * (k - 1) // 2) % 2 == 0 else -acc)
+    return tuple(comps)
 
 
 def dense_mul(a, b):

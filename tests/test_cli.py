@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ybverify import relations
 from ybverify.cli import main
 
 
@@ -114,6 +115,35 @@ def test_budget_flag_skips(capsys):
     code, out, _ = run_cli(["check", "ybe", "--d", "4", "--budget-dim", "50"], capsys)
     assert code == 0
     assert json.loads(out.strip())["status"] == "skipped"
+
+
+def test_pole_in_suite_job_is_a_fail(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"check": "ybe",
+                                 "params": {"d": 4, "u": "-2", "norm": "unit"}}]))
+    code, out, _ = run_cli(["run", "--suite", str(path)], capsys)
+    assert code == 1
+    payload = json.loads(out.strip())
+    assert payload["status"] == "fail"
+    assert payload["detail"].startswith("error: ")
+
+
+def test_local_ybe_respects_budget(capsys, monkeypatch):
+    monkeypatch.delenv("YBV_BUDGET_DIM", raising=False)
+    code, out, _ = run_cli(["check", "local_ybe", "--d", "8"], capsys)
+    assert code == 0
+    (payload,) = [json.loads(line) for line in out.splitlines()]
+    assert payload["status"] == "skipped"
+    assert payload["check"] == "local_ybe"
+
+
+def test_program_bug_is_not_a_verdict(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("planted bug")
+
+    monkeypatch.setattr(relations, "check_unitarity", broken)
+    with pytest.raises(TypeError, match="planted bug"):
+        main(["run", "--all", "--d-list", "2"])
 
 
 def test_dump_gamma(capsys):

@@ -9,7 +9,7 @@ from ybverify.clifford import (as_exp_components, as_exponential, antisym_produc
                                graded_rep)
 from ybverify.kernel import ExactScalar, SparseOperator, kron
 
-from helpers import brute_antisym
+from helpers import brute_antisym, brute_as_exp_components
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,19 @@ def test_as_exponential_same_copy_rejected(bases):
     rep = graded_rep(bases[2], 2)
     with pytest.raises(ValueError):
         as_exponential(rep, 1, 1, 1)
+
+
+@pytest.mark.parametrize("d,n,i", [(2, 2, 1), (4, 2, 1), (6, 2, 1), (2, 3, 1),
+                                   (2, 3, 2), (4, 3, 1), (4, 3, 2)])
+def test_as_exp_components_match_generator_products(bases, d, n, i):
+    rep = graded_rep(bases[d], n)
+    assert as_exp_components(rep, i, i + 1) == brute_as_exp_components(rep, i, i + 1)
+
+
+@pytest.mark.parametrize("i,j", [(1, 3), (2, 1), (3, 4), (0, 1)])
+def test_as_exp_components_reject_non_adjacent_copies(bases, i, j):
+    with pytest.raises(ValueError):
+        as_exp_components(graded_rep(bases[2], 3), i, j)
 
 
 def test_generating_product_law():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybverify import _core
 from ybverify.kernel import (ExactScalar, SparseOperator, embed, embed_pair,
                              kron, matmul)
 
@@ -214,24 +213,3 @@ def test_submatrix():
     assert sub.entry(0, 0) == ExactScalar(7)
     assert sub.entry(1, 0) == ExactScalar(1)
     assert sub.nnz == 2
-
-
-# --- pure-python vs compiled kernels ---------------------------------------
-
-def test_backends_agree():
-    try:
-        from ybverify import _corex
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(17)
-    for _ in range(20):
-        dim = rng.randint(2, 7)
-        a = rand_operator(rng, dim, dim * 2)
-        b = rand_operator(rng, dim, dim * 2)
-        assert _core.mul_grid(a._rows, b._rows) == _corex.mul_grid(a._rows, b._rows)
-        assert _core.add_grids(a._rows, b._rows, 3, -2) \
-            == _corex.add_grids(a._rows, b._rows, 3, -2)
-        assert _core.scale_grid(a._rows, 2, -1) == _corex.scale_grid(a._rows, 2, -1)
-        assert _core.kron_grid(a._rows, b._rows, b.dim) \
-            == _corex.kron_grid(a._rows, b._rows, b.dim)
-        assert _core.content_gcd(a._rows, a._den) == _corex.content_gcd(a._rows, a._den)
