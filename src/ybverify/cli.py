@@ -17,10 +17,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import localyb, quadrature, relations
+from . import relations
 from .clifford import build_gamma
 from .kernel import SparseOperator
-from .relations import DEFAULT_SPECTRAL_POINTS, CheckReport, Status
+from .relations import DEFAULT_SEED, DEFAULT_SPECTRAL_POINTS, CheckReport, Status
 from .rmatrix import (Normalization, RepChoice, coefficients,
                       so_defining_rep, so_spinor_rep)
 
@@ -54,7 +54,7 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
     norm = opts.get("norm", Normalization.PRODUCT_FORM)
     rep = opts.get("rep", RepChoice.PRIMED)
     budget = opts.get("budget_dim")
-    seed = opts.get("seed", localyb.DEFAULT_SEED)
+    seed = opts.get("seed", DEFAULT_SEED)
     tol = opts.get("tol")
 
     if check_id == "ybe":
@@ -97,17 +97,21 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
         if n3 >= cap:
             return [relations._skip("local_ybe", {"d": d, "seed": seed}, n3, cap,
                                     exact=False)]
+        from . import localyb
+
         rng = random.Random(seed)
-        rep3 = relations._graded(d, 3)
+        rep2 = relations._graded(d, 2)
         out = []
         for region in localyb.all_regions():
             for _ in range(opts.get("points", 5)):
                 p = localyb.sample_triple(rng, region)
-                report = localyb.check_local_ybe(rep3, p, tol or 1e-9)
+                report = localyb.check_local_ybe(rep2, p, tol or 1e-9)
                 report.params["seed"] = seed
                 out.append(report)
         return out
     if check_id == "integrand_symmetry":
+        from . import localyb
+
         rng = random.Random(seed)
         out = []
         for region in localyb.all_regions():
@@ -118,6 +122,11 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
                 report.params["seed"] = seed
                 out.append(report)
         return out
+    # numpy (localyb) and scipy (quadrature) are imported in the branches of
+    # the float checks, so exact-only commands never load them; every check
+    # below is a quadrature check
+    from . import quadrature
+
     if check_id == "beta_integral":
         parity = opts.get("parity", "even")
         return [quadrature.check_beta_integral(d, float(u), opts.get("k", 0), parity,
@@ -292,7 +301,7 @@ def _add_common(parser):
     parser.add_argument("--norm", choices=sorted(_NORMS), default="product")
     parser.add_argument("--rep", choices=sorted(_REPS), default="primed")
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=localyb.DEFAULT_SEED)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--budget-dim", type=int, default=None,
                         help="skip exact checks and local_ybe at or above this "

@@ -149,6 +149,9 @@ class GradedRep:
         self.dim = copy_ops[0][0].dim
         self._ops = copy_ops
         self._components = {}
+        # numpy stack of the (1, 2) components, filled by the float local
+        # Yang-Baxter check (localyb), so that this module needs no numpy
+        self._dense_components = None
 
     def op(self, i: int, a: int) -> SparseOperator:
         """Gamma_{i,a} with copy i = 1..n and index a = 1..d."""

@@ -25,6 +25,9 @@ from .rmatrix import (Normalization, Parity, QuantumRep, RepChoice,
                       product_form_slope_at_zero, projectors, quantum_L)
 
 DEFAULT_BUDGET_DIM = 2 ** 12
+# seed of the sampled points of the float local checks (local_ybe,
+# integrand_symmetry)
+DEFAULT_SEED = 20240901
 
 DEFAULT_SPECTRAL_POINTS = (
     Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(-1, 5), Fraction(-3, 7),

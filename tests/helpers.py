@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from ybverify.clifford import as_exp_components
 from ybverify.kernel import ExactScalar, SparseOperator
 
 
@@ -56,6 +57,25 @@ def brute_as_exp_components(rep, i, j):
             acc = acc + gi @ gj
         comps.append(acc if (k * (k - 1) // 2) % 2 == 0 else -acc)
     return tuple(comps)
+
+
+def dense_local_ybe_sides(rep3, p, q):
+    """Both sides of the local Yang-Baxter relation at p and its primed
+    partner q, from dense three-copy As-exponentials: sum_k t^k S_k over
+    as_exp_components(rep3, i, j) as dense arrays, then the product of the
+    three N x N factors of each side."""
+    d = rep3.basis.d
+    comps = {ij: [c.to_complex_array() for c in as_exp_components(rep3, *ij)]
+             for ij in ((1, 2), (2, 3))}
+
+    def exp(ij, t):
+        return sum(float(t) ** k * c for k, c in enumerate(comps[ij]))
+
+    x, y, z = (float(v) for v in p)
+    xp, yp, zp = (float(v) for v in q)
+    lhs = (exp((1, 2), y) @ exp((2, 3), z) @ exp((1, 2), x)) * (1 - x * y) ** (-d)
+    rhs = (exp((2, 3), xp) @ exp((1, 2), zp) @ exp((2, 3), yp)) * (1 - xp * yp) ** (-d)
+    return lhs, rhs
 
 
 def dense_mul(a, b):

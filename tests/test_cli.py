@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ybverify
 from ybverify import relations
 from ybverify.cli import main
 
@@ -144,6 +147,45 @@ def test_program_bug_is_not_a_verdict(monkeypatch):
     monkeypatch.setattr(relations, "check_unitarity", broken)
     with pytest.raises(TypeError, match="planted bug"):
         main(["run", "--all", "--d-list", "2"])
+
+
+def test_exact_commands_load_neither_numpy_nor_scipy():
+    script = ("import sys\n"
+              "import ybverify.cli\n"
+              "after_import = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+              "code = ybverify.cli.main(['check', 'ybe', '--d', '4'])\n"
+              "after_check = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+              "print(after_import, after_check, code, file=sys.stderr)\n")
+    src = str(Path(ybverify.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[] [] 0"
+
+
+RECORDED_SUITE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "suite_d246.jsonl"
+
+
+@pytest.mark.skipif(not RECORDED_SUITE.exists(), reason="no recorded suite stream")
+def test_suite_stream_matches_recording(capsys):
+    code, out, _ = run_cli(["run", "--all", "--d-list", "2,4,6"], capsys)
+    assert code == 0
+    got = out.splitlines()
+    want = RECORDED_SUITE.read_text().splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        rec, ref = json.loads(got_line), json.loads(want_line)
+        if ref["exact"]:
+            assert got_line == want_line
+            continue
+        for key in ("check", "params", "status", "detail", "exact"):
+            assert rec[key] == ref[key], (key, got_line)
+        # unitarity_integral's report carries no tolerance; 1e-3 is the one it
+        # states for a nonzero expected value, as in the recorded job
+        tol = rec["params"].get("tol", rec["params"].get("rel_tol", 1e-3))
+        assert rec["max_residual"] < tol, got_line
 
 
 def test_dump_gamma(capsys):

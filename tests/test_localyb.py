@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from helpers import dense_local_ybe_sides
 from ybverify import localyb as lyb
 from ybverify.clifford import build_gamma, graded_rep
 from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, all_regions,
@@ -10,6 +12,7 @@ from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, all_regions,
                               forward_map, integrand_symmetry_check, invariants,
                               inverse_map, jacobian, jacobian_fd, sample_triple,
                               solve_primed)
+from ybverify.relations import Status, _graded
 
 F = Fraction
 
@@ -216,33 +219,88 @@ def test_jacobian_matches_finite_differences():
 # --- local Yang-Baxter -------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def rep3():
-    return {d: graded_rep(build_gamma(d), 3) for d in (2, 4)}
+def rep2():
+    return {d: graded_rep(build_gamma(d), 2) for d in (2, 4)}
 
 
-def test_local_ybe_specific_point(rep3):
-    report = check_local_ybe(rep3[2], triple(3, 1, 2), tol=1e-9)
+def test_local_ybe_specific_point(rep2):
+    report = check_local_ybe(rep2[2], triple(3, 1, 2), tol=1e-9)
     assert report.passed, report.max_residual
 
 
-def test_local_ybe_fixed_point_machine_precision(rep3):
-    report = check_local_ybe(rep3[2], triple(2, 1, 1), tol=1e-12)
+def test_local_ybe_fixed_point_machine_precision(rep2):
+    report = check_local_ybe(rep2[2], triple(2, 1, 1), tol=1e-12)
     assert report.passed
 
 
-def test_local_ybe_rejects_two_copy(rep3):
+def test_local_ybe_rejects_three_copy():
     with pytest.raises(ValueError):
-        check_local_ybe(graded_rep(build_gamma(2), 2), triple(3, 1, 2))
+        check_local_ybe(graded_rep(build_gamma(2), 3), triple(3, 1, 2))
 
 
-def test_local_ybe_randomized(rep3):
+def test_local_ybe_randomized(rep2):
     for d in (2, 4):
         rng = random.Random(lyb.DEFAULT_SEED)
         for region in all_regions():
             for _ in range(25):
                 p = sample_triple(rng, region)
-                report = check_local_ybe(rep3[d], p, tol=1e-9)
+                report = check_local_ybe(rep2[d], p, tol=1e-9)
                 assert report.passed, (d, p, report.max_residual)
+
+
+def _sample_points(per_region):
+    rng = random.Random(lyb.DEFAULT_SEED)
+    return [sample_triple(rng, region)
+            for region in all_regions() for _ in range(per_region)]
+
+
+@pytest.mark.parametrize("d, points", [(2, _sample_points(5)), (4, _sample_points(5)),
+                                       (6, _sample_points(1)[:1])],
+                         ids=["d2", "d4", "d6"])
+def test_local_ybe_sides_match_dense_three_copy(d, points):
+    rep2, rep3 = _graded(d, 2), _graded(d, 3)
+    for p in points:
+        q = solve_primed(p)
+        for new, ref in zip(lyb.local_ybe_sides(rep2, p, q),
+                            dense_local_ybe_sides(rep3, p, q)):
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(new - ref)) <= 1e-12 * scale, (d, p)
+
+
+def _assert_every_point_fails(rep, d):
+    for p in _sample_points(1):
+        report = check_local_ybe(rep, p, tol=1e-9)
+        assert report.status is Status.FAIL, (d, p)
+        # a million times the tolerance: a planted defect, not rounding
+        assert report.max_residual > 1e-3, (d, p, report.max_residual)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_local_ybe_fails_with_swapped_primed_point(monkeypatch, d):
+    solve = lyb.solve_primed
+
+    def swapped(p):
+        q = solve(p)
+        return TripleXYZ(q.y, q.x, q.z)
+
+    monkeypatch.setattr(lyb, "solve_primed", swapped)
+    _assert_every_point_fails(_graded(d, 2), d)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_local_ybe_fails_with_sign_flipped_component(monkeypatch, d):
+    # S_2: flipping S_1 alone is E(t) -> E(-t) at d = 2, and the relation
+    # holds at (-x, -y, -z) too, so that would be no defect
+    components = lyb.as_exp_components
+
+    def flipped(rep, i, j):
+        comps = list(components(rep, i, j))
+        comps[2] = -comps[2]
+        return tuple(comps)
+
+    monkeypatch.setattr(lyb, "as_exp_components", flipped)
+    # a fresh rep: the shared one may already hold the unflipped dense stack
+    _assert_every_point_fails(graded_rep(build_gamma(d), 2), d)
 
 
 def test_integrand_symmetry_measure_only():
