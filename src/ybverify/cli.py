@@ -100,7 +100,7 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
         from . import localyb
 
         rng = random.Random(seed)
-        rep2 = relations._graded(d, 2)
+        rep2 = relations._graded(d)
         out = []
         for region in localyb.all_regions():
             for _ in range(opts.get("points", 5)):

@@ -1,5 +1,5 @@
-"""Gamma matrices for even d, antisymmetrized basis elements, graded
-multi-copy representations, As-exponentials and exchange operators.
+"""Gamma matrices for even d, antisymmetrized basis elements, the two-copy
+graded representation, As-exponentials and exchange operators.
 
 The gamma matrices come from the standard recursive (Jordan-Wigner style)
 doubling over Pauli factors; the basis is then permuted so the chirality
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .kernel import ExactScalar, SparseOperator, embed, kron
+from .kernel import ExactScalar, SparseOperator, kron
 
 DEFAULT_MAX_D = 8
 
@@ -137,71 +137,52 @@ def antisym_product(basis: GammaBasis, indices) -> SparseOperator:
 
 
 class GradedRep:
-    """n anticommuting copies of the Clifford algebra on 2^(n*d/2) dims.
+    """Two anticommuting copies of the Clifford algebra on 2^d dims:
+    Gamma_{1,a} = gamma_a (x) 1 and Gamma_{2,a} = gamma5 (x) gamma_a.
 
-    Copy i's generator for index a is gamma5^(x(i-1)) (x) gamma_a (x) 1...,
-    which anticommutes across copies and keeps copy-internal relations.
+    A three-space operator never needs a third copy: the Yang-Baxter-type
+    relations place two-copy operators A on slots (1,2) and (2,3) of
+    V (x) V (x) V as A (x) 1 and 1 (x) A.
     """
 
-    def __init__(self, basis: GammaBasis, n: int, copy_ops):
+    def __init__(self, basis: GammaBasis, copy_ops):
         self.basis = basis
-        self.n = n
         self.dim = copy_ops[0][0].dim
         self._ops = copy_ops
-        self._components = {}
-        # numpy stack of the (1, 2) components, filled by the float local
+        self._components = None
+        # numpy stack of the components, filled by the float local
         # Yang-Baxter check (localyb), so that this module needs no numpy
         self._dense_components = None
 
     def op(self, i: int, a: int) -> SparseOperator:
-        """Gamma_{i,a} with copy i = 1..n and index a = 1..d."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"copy {i} outside 1..{self.n}")
+        """Gamma_{i,a} with copy i = 1, 2 and index a = 1..d."""
+        if i not in (1, 2):
+            raise ValueError(f"copy {i} outside 1..2")
         if not 1 <= a <= self.basis.d:
             raise ValueError(f"index {a} outside 1..{self.basis.d}")
         return self._ops[i - 1][a - 1]
 
     def __repr__(self):
-        return f"GradedRep(d={self.basis.d}, n={self.n})"
+        return f"GradedRep(d={self.basis.d})"
 
 
-def graded_rep(basis: GammaBasis, n: int) -> GradedRep:
-    """Build the n-copy graded representation (n = 2 or 3)."""
-    if n not in (2, 3):
-        raise ValueError(f"unsupported copy count {n}")
-    dim = basis.dim
-    ident = SparseOperator.identity(dim)
-    copy_ops = []
-    for i in range(n):
-        row = []
-        for a in range(basis.d):
-            factors = [basis.gamma5] * i + [basis.gammas[a]] + [ident] * (n - 1 - i)
-            op = factors[0]
-            for f in factors[1:]:
-                op = kron(op, f)
-            row.append(op)
-        copy_ops.append(row)
-    return GradedRep(basis, n, copy_ops)
+def graded_rep(basis: GammaBasis) -> GradedRep:
+    """Build the two-copy graded representation."""
+    ident = SparseOperator.identity(basis.dim)
+    return GradedRep(basis, ([kron(g, ident) for g in basis.gammas],
+                             [kron(basis.gamma5, g) for g in basis.gammas]))
 
 
-def as_exp_components(rep: GradedRep, i: int, j: int):
-    """S_k = s_k * sum over |A| = k of Gamma_{i,A} Gamma_{j,A}, k = 0..d,
-    with s_k = (-1)^(k(k-1)/2); so E_ij(t) = sum_k t^k S_k.
+def as_exp_components(rep: GradedRep):
+    """S_k = s_k * sum over |A| = k of Gamma_{1,A} Gamma_{2,A}, k = 0..d,
+    with s_k = (-1)^(k(k-1)/2); so E(t) = sum_k t^k S_k.
 
-    Only adjacent copies j = i + 1 are supported.  On their two slots
-    Gamma_{i,A} = gamma_A (x) 1 and Gamma_{j,A} = gamma5^k (x) gamma_A, and
-    both are 1 on every other slot, so S_k is the two-copy
-    s_k * T_k (gamma5^k (x) 1), with T_k the pair contraction, embedded with
-    identities on the other copies.
+    Gamma_{1,A} = gamma_A (x) 1 and Gamma_{2,A} = gamma5^k (x) gamma_A, so
+    S_k = s_k * T_k (gamma5^k (x) 1), with T_k the pair contraction.
     """
-    if j != i + 1 or not 1 <= i < rep.n:
-        raise ValueError(f"As-components need adjacent copies (i, i+1), got ({i}, {j})")
-    key = (i, j)
-    cached = rep._components.get(key)
-    if cached is not None:
-        return cached
+    if rep._components is not None:
+        return rep._components
     basis = rep.basis
-    dims = [basis.dim ** (i - 1), basis.dim ** 2, basis.dim ** (rep.n - j)]
     g5 = kron(basis.gamma5, SparseOperator.identity(basis.dim))
     comps = []
     for k in range(basis.d + 1):
@@ -210,16 +191,15 @@ def as_exp_components(rep: GradedRep, i: int, j: int):
             sk = sk @ g5
         if (k * (k - 1) // 2) % 2:
             sk = -sk
-        comps.append(embed(sk, 1, dims))
-    cached = tuple(comps)
-    rep._components[key] = cached
-    return cached
+        comps.append(sk)
+    rep._components = tuple(comps)
+    return rep._components
 
 
-def as_exponential(rep: GradedRep, i: int, j: int, t) -> SparseOperator:
-    """The As-exponential E_ij(t): matrix avatar of As(exp(t Gamma_i.Gamma_j))."""
+def as_exponential(rep: GradedRep, t) -> SparseOperator:
+    """The As-exponential E(t): matrix avatar of As(exp(t Gamma_1.Gamma_2))."""
     t = Fraction(t)
-    comps = as_exp_components(rep, i, j)
+    comps = as_exp_components(rep)
     acc = comps[0]
     power = Fraction(1)
     for k in range(1, len(comps)):
@@ -230,16 +210,14 @@ def as_exponential(rep: GradedRep, i: int, j: int, t) -> SparseOperator:
 
 
 def exchange_pair(rep: GradedRep):
-    """The exchange operators (P, P') = (E_12(1), E_12(-1)) on a 2-copy rep.
+    """The exchange operators (P, P') = (E(1), E(-1)).
 
     At matrix level E(1) intertwines Gamma_{1,a} P = P Gamma_{2,a} and E(-1)
     the reverse (the roles come out swapped relative to the labelling next
     to the defining relations, which the exchange-identities check pins down
     explicitly).
     """
-    if rep.n != 2:
-        raise ValueError("exchange operators need the two-copy representation")
-    return as_exponential(rep, 1, 2, 1), as_exponential(rep, 1, 2, -1)
+    return as_exponential(rep, 1), as_exponential(rep, -1)
 
 
 def gamma5_pair_reflection(basis: GammaBasis, k: int) -> SparseOperator:

@@ -81,8 +81,8 @@ def _basis(d: int) -> GammaBasis:
 
 
 @lru_cache(maxsize=None)
-def _graded(d: int, n: int):
-    return graded_rep(_basis(d), n)
+def _graded(d: int):
+    return graded_rep(_basis(d))
 
 
 def _fmt(value) -> str:
@@ -129,6 +129,16 @@ def _skip(check_id, params, dim, cap, exact=True) -> CheckReport:
                        detail=f"working dimension {dim} reaches budget cap {cap}")
 
 
+def _yb_sides(a, b, c, n):
+    """(a (x) 1)(1 (x) b)(c (x) 1) and (1 (x) c)(b (x) 1)(1 (x) a) on
+    V (x) V (x) V, for two-space operators a, b, c and dim V = n: the two
+    sides of every Yang-Baxter-type relation."""
+    ident = SparseOperator.identity(n)
+    lhs = kron(a, ident) @ kron(ident, b) @ kron(c, ident)
+    rhs = kron(ident, c) @ kron(b, ident) @ kron(ident, a)
+    return lhs, rhs
+
+
 def _spinor_R(d, u, norm, rep, parity=Parity.FULL, perturb_k=None):
     table = coefficients(d, u, norm)
     if perturb_k is not None:
@@ -152,12 +162,10 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
     if n ** 3 >= cap:
         return _skip("ybe", params, n ** 3, cap)
     with _Timer() as t:
-        ident = SparseOperator.identity(n)
         Ru = _spinor_R(d, u, norm, rep, perturb_k=perturb_k)
         Ruv = _spinor_R(d, u + v, norm, rep)
         Rv = _spinor_R(d, v, norm, rep)
-        lhs = kron(Ru, ident) @ kron(ident, Ruv) @ kron(Rv, ident)
-        rhs = kron(ident, Rv) @ kron(Ruv, ident) @ kron(ident, Ru)
+        lhs, rhs = _yb_sides(Ru, Ruv, Rv, n)
         diff = lhs - rhs
     return _exact_report("ybe", params, [("YBE", diff)], t,
                          convention="spectral placement (u, u+v, v)")
@@ -181,12 +189,10 @@ def check_three_term(d, u, v, signs, norm=Normalization.PRODUCT_FORM,
     si, sj, sk = signs
     parity = {"+": Parity.EVEN, "-": Parity.ODD}
     with _Timer() as t:
-        ident = SparseOperator.identity(n)
         Ri = _spinor_R(d, u, norm, rep, parity[si])
         Rk = _spinor_R(d, u + v, norm, rep, parity[sk])
         Rj = _spinor_R(d, v, norm, rep, parity[sj])
-        lhs = kron(Ri, ident) @ kron(ident, Rk) @ kron(Rj, ident)
-        rhs = kron(ident, Rj) @ kron(Rk, ident) @ kron(ident, Ri)
+        lhs, rhs = _yb_sides(Ri, Rk, Rj, n)
         diffs = [("three-term", lhs - rhs)]
         minus_count = sum(1 for s in signs if s == "-")
         if minus_count % 2 == 1:
@@ -205,12 +211,10 @@ def check_fundamental_ybe(d, u, v, budget=None) -> CheckReport:
     if d ** 3 >= cap:
         return _skip("fundamental_ybe", params, d ** 3, cap)
     with _Timer() as t:
-        ident = SparseOperator.identity(d)
         Ruv = fundamental_R0(d, u - v)
         Ru = fundamental_R0(d, u)
         Rv = fundamental_R0(d, v)
-        lhs = kron(Ruv, ident) @ kron(ident, Ru) @ kron(Rv, ident)
-        rhs = kron(ident, Rv) @ kron(Ru, ident) @ kron(ident, Ruv)
+        lhs, rhs = _yb_sides(Ruv, Ru, Rv, d)
         diff = lhs - rhs
     return _exact_report("fundamental_ybe", params, [("fundamental YBE", diff)], t,
                          convention="spectral placement (u-v, u, v)")
@@ -460,18 +464,19 @@ def check_d6_reduction(u) -> CheckReport:
 
 def check_exchange_identities(d, budget=None) -> CheckReport:
     """Exchange-operator identities: P P' = P' P = 2^d, P P = 2^d S_d (the
-    top As-component, whose two-copy image is gamma5 (x) gamma5), the braid
-    relations in the three-copy representation, and the intertwining
-    relations in the direction that holds at matrix level."""
+    top As-component, whose two-copy image is gamma5 (x) gamma5), the
+    intertwining relations in the direction that holds at matrix level, and
+    the braid relations P12 P23 P12 = P23 P12 P23 (and for P') with
+    P12 = P (x) 1 and P23 = 1 (x) P."""
     params = {"d": d}
     n3 = 2 ** (3 * d // 2)
     cap = budget_dim(budget)
     if n3 >= cap:
         return _skip("exchange_identities", params, n3, cap)
     with _Timer() as t:
-        rep2 = _graded(d, 2)
+        rep2 = _graded(d)
         P, Pp = exchange_pair(rep2)
-        comps = as_exp_components(rep2, 1, 2)
+        comps = as_exp_components(rep2)
         ident2 = SparseOperator.identity(rep2.dim)
         two_d = 2 ** d
         basis = rep2.basis
@@ -487,13 +492,9 @@ def check_exchange_identities(d, budget=None) -> CheckReport:
                           rep2.op(1, a) @ P - P @ rep2.op(2, a)))
             diffs.append((f"intertwine P' index {a}",
                           rep2.op(2, a) @ Pp - Pp @ rep2.op(1, a)))
-        rep3 = _graded(d, 3)
-        P12 = as_exponential(rep3, 1, 2, 1)
-        P23 = as_exponential(rep3, 2, 3, 1)
-        Pp12 = as_exponential(rep3, 1, 2, -1)
-        Pp23 = as_exponential(rep3, 2, 3, -1)
-        diffs.append(("braid P", P12 @ P23 @ P12 - P23 @ P12 @ P23))
-        diffs.append(("braid P'", Pp12 @ Pp23 @ Pp12 - Pp23 @ Pp12 @ Pp23))
+        for label, E in (("braid P", P), ("braid P'", Pp)):
+            lhs, rhs = _yb_sides(E, E, E, basis.dim)
+            diffs.append((label, lhs - rhs))
     return _exact_report("exchange_identities", params, diffs, t)
 
 
@@ -504,9 +505,9 @@ def check_generating_product(d, x, y) -> CheckReport:
     if x * y == 1:
         raise ValueError("xy = 1 is outside the product law's domain")
     with _Timer() as t:
-        rep = _graded(d, 2)
-        lhs = as_exponential(rep, 1, 2, x) @ as_exponential(rep, 1, 2, y)
+        rep = _graded(d)
+        lhs = as_exponential(rep, x) @ as_exponential(rep, y)
         arg = (x + y) / (1 - x * y)
-        rhs = as_exponential(rep, 1, 2, arg).scale((1 - x * y) ** d)
+        rhs = as_exponential(rep, arg).scale((1 - x * y) ** d)
         diff = lhs - rhs
     return _exact_report("generating_product", params, [("product law", diff)], t)

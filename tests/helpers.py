@@ -7,10 +7,10 @@ evaluations), so an agreement is a genuine cross-check.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
-from ybverify.clifford import as_exp_components
-from ybverify.kernel import ExactScalar, SparseOperator
+from ybverify.kernel import ExactScalar, SparseOperator, kron
 
 
 def perm_sign(perm):
@@ -42,30 +42,61 @@ def brute_antisym(basis, indices):
     return acc.scale(inv_fact)
 
 
-def brute_as_exp_components(rep, i, j):
+@lru_cache(maxsize=None)
+def brute_graded_generators(basis, n):
+    """The n-copy graded generators as a table: row i - 1 holds copy i's
+    generators gamma5^(x(i-1)) (x) gamma_a (x) 1^(x(n-i)), a = 1..d, which
+    anticommute across copies and keep the copy-internal relations."""
+    ident = SparseOperator.identity(basis.dim)
+    table = []
+    for i in range(n):
+        row = []
+        for a in range(1, basis.d + 1):
+            factors = [basis.gamma5] * i + [basis.gamma(a)] + [ident] * (n - 1 - i)
+            op = factors[0]
+            for f in factors[1:]:
+                op = kron(op, f)
+            row.append(op)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def brute_as_exp_components(gens, i, j):
     """S_k = s_k * sum over |A| = k of Gamma_{i,A} Gamma_{j,A}, each term an
-    ordered product of the graded copy generators."""
-    d = rep.basis.d
+    ordered product of the generators ``gens[i - 1]`` and ``gens[j - 1]``
+    (cached: the three-copy d = 6 components take about a second)."""
+    d, dim = len(gens[0]), gens[0][0].dim
     comps = []
     for k in range(d + 1):
-        acc = SparseOperator.zero(rep.dim)
-        for A in combinations(range(1, d + 1), k):
-            gi = gj = SparseOperator.identity(rep.dim)
+        acc = SparseOperator.zero(dim)
+        for A in combinations(range(d), k):
+            gi = gj = SparseOperator.identity(dim)
             for a in A:
-                gi = gi @ rep.op(i, a)
-                gj = gj @ rep.op(j, a)
+                gi = gi @ gens[i - 1][a]
+                gj = gj @ gens[j - 1][a]
             acc = acc + gi @ gj
         comps.append(acc if (k * (k - 1) // 2) % 2 == 0 else -acc)
     return tuple(comps)
 
 
-def dense_local_ybe_sides(rep3, p, q):
+def brute_as_exponential(gens, i, j, t):
+    """sum_k t^k S_k over the brute components of copies (i, j)."""
+    t = Fraction(t)
+    acc = SparseOperator.zero(gens[0][0].dim)
+    for k, comp in enumerate(brute_as_exp_components(gens, i, j)):
+        acc = acc + comp.scale(t ** k)
+    return acc
+
+
+def dense_local_ybe_sides(basis, p, q):
     """Both sides of the local Yang-Baxter relation at p and its primed
-    partner q, from dense three-copy As-exponentials: sum_k t^k S_k over
-    as_exp_components(rep3, i, j) as dense arrays, then the product of the
-    three N x N factors of each side."""
-    d = rep3.basis.d
-    comps = {ij: [c.to_complex_array() for c in as_exp_components(rep3, *ij)]
+    partner q, from dense three-copy As-exponentials: sum_k t^k S_k over the
+    brute three-copy components of copies (1, 2) and (2, 3) as dense
+    arrays, then the product of the three N x N factors of each side."""
+    d = basis.d
+    gens = brute_graded_generators(basis, 3)
+    comps = {ij: [c.to_complex_array() for c in brute_as_exp_components(gens, *ij)]
              for ij in ((1, 2), (2, 3))}
 
     def exp(ij, t):

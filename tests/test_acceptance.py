@@ -175,7 +175,7 @@ def test_c10_generating_product_law():
 
 
 def test_c11_local_yang_baxter():
-    reps = {d: graded_rep(build_gamma(d), 2) for d in (2, 4)}
+    reps = {d: graded_rep(build_gamma(d)) for d in (2, 4)}
     worst_matrix = 0.0
     for d in (2, 4):
         rng = random.Random(localyb.DEFAULT_SEED)

@@ -7,9 +7,10 @@ import pytest
 from ybverify.clifford import (as_exp_components, as_exponential, antisym_product,
                                build_gamma, exchange_pair, gamma5_pair_reflection,
                                graded_rep)
-from ybverify.kernel import ExactScalar, SparseOperator, kron
+from ybverify.kernel import ExactScalar, SparseOperator, embed, kron
 
-from helpers import brute_antisym, brute_as_exp_components
+from helpers import (brute_antisym, brute_as_exp_components, brute_as_exponential,
+                     brute_graded_generators)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ def test_antisym_rejects_out_of_range(bases):
 
 def test_graded_rep_two_copy_structure(bases):
     basis = bases[4]
-    rep = graded_rep(basis, 2)
+    rep = graded_rep(basis)
     ident = SparseOperator.identity(basis.dim)
     for a in range(1, 5):
         assert rep.op(1, a) == kron(basis.gamma(a), ident)
@@ -107,63 +108,53 @@ def test_graded_rep_two_copy_structure(bases):
 
 
 def test_graded_rep_d2_instance(bases):
-    rep = graded_rep(bases[2], 2)
+    rep = graded_rep(bases[2])
     acm = rep.op(1, 1) @ rep.op(2, 1) + rep.op(2, 1) @ rep.op(1, 1)
     assert acm.is_zero()
 
 
 def test_graded_rep_cross_copy_anticommutators(bases):
-    rep = graded_rep(bases[4], 3)
-    zero = SparseOperator.zero(rep.dim)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for a in range(1, 5):
-                for b in range(1, 5):
-                    acm = rep.op(i, a) @ rep.op(j, b) + rep.op(j, b) @ rep.op(i, a)
-                    if i == j:
-                        expected = (SparseOperator.identity(rep.dim).scale(2)
-                                    if a == b else zero)
-                    else:
-                        expected = zero
-                    assert acm == expected, (i, j, a, b)
-
-
-def test_graded_rep_rejects_bad_copies(bases):
-    with pytest.raises(ValueError):
-        graded_rep(bases[2], 4)
+    # the library's two copies and the oracle's three copies
+    rep = graded_rep(bases[4])
+    two = tuple(tuple(rep.op(i, a) for a in range(1, 5)) for i in (1, 2))
+    for gens in (two, brute_graded_generators(bases[4], 3)):
+        dim = gens[0][0].dim
+        zero = SparseOperator.zero(dim)
+        for i, row_i in enumerate(gens):
+            for j, row_j in enumerate(gens):
+                for a, ga in enumerate(row_i):
+                    for b, gb in enumerate(row_j):
+                        acm = ga @ gb + gb @ ga
+                        if i == j and a == b:
+                            expected = SparseOperator.identity(dim).scale(2)
+                        else:
+                            expected = zero
+                        assert acm == expected, (len(gens), i, j, a, b)
 
 
 # --- As-exponentials ---------------------------------------------------------
 
 def test_as_exponential_at_zero(bases):
-    rep = graded_rep(bases[4], 2)
-    assert as_exponential(rep, 1, 2, 0) == SparseOperator.identity(rep.dim)
-
-
-def test_as_exponential_same_copy_rejected(bases):
-    rep = graded_rep(bases[2], 2)
-    with pytest.raises(ValueError):
-        as_exponential(rep, 1, 1, 1)
+    rep = graded_rep(bases[4])
+    assert as_exponential(rep, 0) == SparseOperator.identity(rep.dim)
 
 
 @pytest.mark.parametrize("d,n,i", [(2, 2, 1), (4, 2, 1), (6, 2, 1), (2, 3, 1),
                                    (2, 3, 2), (4, 3, 1), (4, 3, 2)])
 def test_as_exp_components_match_generator_products(bases, d, n, i):
-    rep = graded_rep(bases[d], n)
-    assert as_exp_components(rep, i, i + 1) == brute_as_exp_components(rep, i, i + 1)
-
-
-@pytest.mark.parametrize("i,j", [(1, 3), (2, 1), (3, 4), (0, 1)])
-def test_as_exp_components_reject_non_adjacent_copies(bases, i, j):
-    with pytest.raises(ValueError):
-        as_exp_components(graded_rep(bases[2], 3), i, j)
+    # on n oracle copies, the components of copies (i, i+1) are the two-copy
+    # S_k with identities on the other copies: S_k (x) 1 and 1 (x) S_k at n = 3
+    basis = bases[d]
+    dims = [basis.dim] * (i - 1) + [basis.dim ** 2] + [basis.dim] * (n - i - 1)
+    want = tuple(embed(sk, i - 1, dims) for sk in as_exp_components(graded_rep(basis)))
+    assert brute_as_exp_components(brute_graded_generators(basis, n), i, i + 1) == want
 
 
 def test_generating_product_law():
     # E(x) E(y) = (1-xy)^d E((x+y)/(1-xy)), 20 rational pairs per d
     rng = random.Random(2024)
     for d in (2, 4):
-        rep = graded_rep(build_gamma(d), 2)
+        rep = graded_rep(build_gamma(d))
         pairs = []
         while len(pairs) < 20:
             x = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
@@ -171,22 +162,22 @@ def test_generating_product_law():
             if x * y != 1:
                 pairs.append((x, y))
         for x, y in pairs:
-            lhs = as_exponential(rep, 1, 2, x) @ as_exponential(rep, 1, 2, y)
-            rhs = as_exponential(rep, 1, 2, (x + y) / (1 - x * y))
+            lhs = as_exponential(rep, x) @ as_exponential(rep, y)
+            rhs = as_exponential(rep, (x + y) / (1 - x * y))
             assert lhs == rhs.scale((1 - x * y) ** d), (d, x, y)
 
 
 def test_generating_product_specific_point():
     # E(1/2) E(1/3) = (5/6)^2 E(1) at d = 2
-    rep = graded_rep(build_gamma(2), 2)
-    lhs = as_exponential(rep, 1, 2, Fraction(1, 2)) @ as_exponential(rep, 1, 2, Fraction(1, 3))
-    rhs = as_exponential(rep, 1, 2, 1).scale(Fraction(25, 36))
+    rep = graded_rep(build_gamma(2))
+    lhs = as_exponential(rep, Fraction(1, 2)) @ as_exponential(rep, Fraction(1, 3))
+    rhs = as_exponential(rep, 1).scale(Fraction(25, 36))
     assert lhs == rhs
 
 
 def test_exchange_operators(bases):
     for d in (2, 4):
-        rep = graded_rep(bases[d], 2)
+        rep = graded_rep(bases[d])
         P, Pp = exchange_pair(rep)
         # intertwining directions that hold at matrix level
         for a in range(1, d + 1):
@@ -195,24 +186,20 @@ def test_exchange_operators(bases):
         assert P @ Pp == SparseOperator.identity(rep.dim).scale(2 ** d)
         assert Pp @ P == SparseOperator.identity(rep.dim).scale(2 ** d)
         # P P = 2^d * (top As-component); same for P' at even d
-        top = as_exp_components(rep, 1, 2)[d]
+        top = as_exp_components(rep)[d]
         assert P @ P == top.scale(2 ** d)
         assert Pp @ Pp == top.scale((-2) ** d)
         # the top component represents gamma5 (x) gamma5
         assert top == kron(bases[d].gamma5, bases[d].gamma5)
 
 
-def test_exchange_requires_two_copies(bases):
-    with pytest.raises(ValueError):
-        exchange_pair(graded_rep(bases[2], 3))
-
-
 def test_braid_identities(bases):
+    # on the oracle's three copies, independently of the two-copy library path
     for d in (2, 4):
-        rep3 = graded_rep(bases[d], 3)
+        gens = brute_graded_generators(bases[d], 3)
         for t in (1, -1):
-            e12 = as_exponential(rep3, 1, 2, t)
-            e23 = as_exponential(rep3, 2, 3, t)
+            e12 = brute_as_exponential(gens, 1, 2, t)
+            e23 = brute_as_exponential(gens, 2, 3, t)
             assert e12 @ e23 @ e12 == e23 @ e12 @ e23, (d, t)
 
 

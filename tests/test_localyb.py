@@ -220,7 +220,7 @@ def test_jacobian_matches_finite_differences():
 
 @pytest.fixture(scope="module")
 def rep2():
-    return {d: graded_rep(build_gamma(d), 2) for d in (2, 4)}
+    return {d: graded_rep(build_gamma(d)) for d in (2, 4)}
 
 
 def test_local_ybe_specific_point(rep2):
@@ -231,11 +231,6 @@ def test_local_ybe_specific_point(rep2):
 def test_local_ybe_fixed_point_machine_precision(rep2):
     report = check_local_ybe(rep2[2], triple(2, 1, 1), tol=1e-12)
     assert report.passed
-
-
-def test_local_ybe_rejects_three_copy():
-    with pytest.raises(ValueError):
-        check_local_ybe(graded_rep(build_gamma(2), 3), triple(3, 1, 2))
 
 
 def test_local_ybe_randomized(rep2):
@@ -258,11 +253,11 @@ def _sample_points(per_region):
                                        (6, _sample_points(1)[:1])],
                          ids=["d2", "d4", "d6"])
 def test_local_ybe_sides_match_dense_three_copy(d, points):
-    rep2, rep3 = _graded(d, 2), _graded(d, 3)
+    rep2 = _graded(d)
     for p in points:
         q = solve_primed(p)
         for new, ref in zip(lyb.local_ybe_sides(rep2, p, q),
-                            dense_local_ybe_sides(rep3, p, q)):
+                            dense_local_ybe_sides(rep2.basis, p, q)):
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(new - ref)) <= 1e-12 * scale, (d, p)
 
@@ -284,7 +279,7 @@ def test_local_ybe_fails_with_swapped_primed_point(monkeypatch, d):
         return TripleXYZ(q.y, q.x, q.z)
 
     monkeypatch.setattr(lyb, "solve_primed", swapped)
-    _assert_every_point_fails(_graded(d, 2), d)
+    _assert_every_point_fails(_graded(d), d)
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -293,14 +288,14 @@ def test_local_ybe_fails_with_sign_flipped_component(monkeypatch, d):
     # holds at (-x, -y, -z) too, so that would be no defect
     components = lyb.as_exp_components
 
-    def flipped(rep, i, j):
-        comps = list(components(rep, i, j))
+    def flipped(rep):
+        comps = list(components(rep))
         comps[2] = -comps[2]
         return tuple(comps)
 
     monkeypatch.setattr(lyb, "as_exp_components", flipped)
     # a fresh rep: the shared one may already hold the unflipped dense stack
-    _assert_every_point_fails(graded_rep(build_gamma(d), 2), d)
+    _assert_every_point_fails(graded_rep(build_gamma(d)), d)
 
 
 def test_integrand_symmetry_measure_only():

@@ -1,13 +1,24 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from ybverify import clifford
 from ybverify import relations as rel
-from ybverify.rmatrix import (Normalization, PoleError, RepChoice,
+from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               so_defining_rep, so_spinor_rep)
 
+from helpers import brute_as_exponential, brute_graded_generators
+
 U, V = Fraction(1, 2), Fraction(1, 3)
+LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
+
+
+def _fails_at(report, label):
+    assert report.status is rel.Status.FAIL, report.detail
+    assert report.detail.startswith(f"{label}: "), report.detail
+    assert LOCATED.search(report.detail), report.detail
 
 
 def test_ybe_passes_small_dimensions():
@@ -72,6 +83,22 @@ def test_three_term_zero_identities_enforced():
     assert report.passed
     report = rel.check_three_term(4, U, V, "++-")
     assert report.passed
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("signs", ["+-+", "---", "++-"])
+def test_three_term_zero_product_branch_catches_full_odd_part(monkeypatch, d, signs):
+    # hand the full R-matrix to every odd slot: the three-term relation is
+    # linear in each slot and the even and odd relations both hold, so the
+    # two sides stay equal and only the zero-product test can fail
+    spinor_R = rel._spinor_R
+
+    def full_for_odd(d, u, norm, rep, parity=Parity.FULL, perturb_k=None):
+        parity = Parity.FULL if parity is Parity.ODD else parity
+        return spinor_R(d, u, norm, rep, parity, perturb_k)
+
+    monkeypatch.setattr(rel, "_spinor_R", full_for_odd)
+    _fails_at(rel.check_three_term(d, U, V, signs), "zero-product lhs")
 
 
 def test_three_term_rejects_bad_signs():
@@ -209,6 +236,47 @@ def test_d6_reduction():
 def test_exchange_identities():
     for d in (2, 4):
         assert rel.check_exchange_identities(d).passed
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_yb_sides_braid_equals_brute_three_copy(d):
+    # P12 = P (x) 1 and P23 = 1 (x) P: the two-copy braid sides equal the
+    # products of the oracle's three-copy As-exponentials at t = 1 and -1
+    gens = brute_graded_generators(rel._basis(d), 3)
+    for E, t in zip(clifford.exchange_pair(rel._graded(d)), (1, -1)):
+        e12 = brute_as_exponential(gens, 1, 2, t)
+        e23 = brute_as_exponential(gens, 2, 3, t)
+        lhs, rhs = rel._yb_sides(E, E, E, rel._basis(d).dim)
+        assert lhs == e12 @ e23 @ e12, (d, t)
+        assert rhs == e23 @ e12 @ e23, (d, t)
+
+
+@pytest.fixture
+def flipped_s2(monkeypatch):
+    # S_2, not S_1: flipping S_1 at d = 2 maps E(t) to E(-t), and the
+    # product law E(x) E(y) = (1-xy)^d E((x+y)/(1-xy)) survives t -> -t
+    components = clifford.as_exp_components
+
+    def flipped(rep):
+        comps = list(components(rep))
+        comps[2] = -comps[2]
+        return tuple(comps)
+
+    monkeypatch.setattr(clifford, "as_exp_components", flipped)
+    monkeypatch.setattr(rel, "as_exp_components", flipped)
+    rel._graded.cache_clear()
+    yield
+    rel._graded.cache_clear()
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_exchange_identities_fail_with_sign_flipped_component(flipped_s2, d):
+    _fails_at(rel.check_exchange_identities(d), "P P'")
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_generating_product_fails_with_sign_flipped_component(flipped_s2, d):
+    _fails_at(rel.check_generating_product(d, U, V), "product law")
 
 
 def test_generating_product_check():

@@ -1,5 +1,8 @@
+import importlib.util
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,3 +22,28 @@ def test_no_tracked_file_is_ignored():
     proc = _git("ls-files", "-ci", "--exclude-standard")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_suite_records_every_span(tmp_path):
+    # the benchmark wraps program functions by name; a rename in src/ would
+    # break its traced run, so run the smallest traced suite here
+    spans = _load_spans()
+    out = tmp_path / "spans.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop("YBV_BUDGET_DIM", None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(out),
+         "run", "--all", "--d-list", "2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    _counters, trace = spans.read(out)
+    assert spans.span_names() - spans.spans_seen(trace) == set()
