@@ -1,7 +1,7 @@
 """Pure-Python arithmetic kernels for sparse Gaussian-integer grids.
 
 A grid is ``{row: {col: (re, im)}}`` with arbitrary-precision integer parts
-and no stored zeros.  All exact matrix arithmetic reduces to these five
+and no stored zeros.  All exact matrix arithmetic reduces to these
 functions, which ``ybverify.kernel`` wraps.
 """
 
@@ -88,6 +88,82 @@ def kron_grid(arows, brows, bdim):
                     crow[jb + l] = (ar * br - ai * bi, ar * bi + ai * br)
             crows[ib + k] = crow
     return crows
+
+
+def _times_left(vec, xrows, n, out):
+    """Add the row vector vec (X (x) 1) into out: X acts on the first two
+    factors of V (x) V (x) V, so entry p*n + k of vec meets row p of X and
+    lands at q*n + k.  Vectors are {col: (re, im)} or {col: [re, im]}."""
+    for x, (vr, vi) in vec.items():
+        p = x // n
+        xrow = xrows.get(p)
+        if xrow is None:
+            continue
+        k = x - p * n
+        for q, (xr, xi) in xrow.items():
+            col = q * n + k
+            re = vr * xr - vi * xi
+            im = vr * xi + vi * xr
+            cur = out.get(col)
+            if cur is None:
+                out[col] = [re, im]
+            else:
+                cur[0] += re
+                cur[1] += im
+    return out
+
+
+def _times_right(vec, xrows, n2, out):
+    """Add the row vector vec (1 (x) X) into out: X acts on the last two
+    factors, so entry i*n2 + q of vec meets row q of X and lands at
+    i*n2 + q'."""
+    for x, (vr, vi) in vec.items():
+        q = x % n2
+        xrow = xrows.get(q)
+        if xrow is None:
+            continue
+        base = x - q
+        for q2, (xr, xi) in xrow.items():
+            col = base + q2
+            re = vr * xr - vi * xi
+            im = vr * xi + vi * xr
+            cur = out.get(col)
+            if cur is None:
+                out[col] = [re, im]
+            else:
+                cur[0] += re
+                cur[1] += im
+    return out
+
+
+def yb_grid(arows, brows, crows, n, with_rhs=True):
+    """(a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a) on
+    V (x) V (x) V for grids a, b, c on V (x) V, dim V = n; without the rhs
+    when ``with_rhs`` is false.  Row-wise (Gustavson): row r = (i, j, k) of
+    the lhs starts from row i*n + j of a shifted by k, row r of the rhs from
+    row j*n + k of c shifted by i*n*n, and each factor is applied to the
+    sparse row vector by index arithmetic, so no n^3 x n^3 factor or
+    product is stored.  The result is over den(a) den(b) den(c)."""
+    n2 = n * n
+    rows = {}
+    for r in range(n2 * n):
+        ij, k = divmod(r, n)
+        acc = {}
+        arow = arows.get(ij)
+        if arow:
+            start = {p * n + k: v for p, v in arow.items()}
+            _times_left(_times_right(start, brows, n2, {}), crows, n, acc)
+        if with_rhs:
+            jk = r % n2
+            crow = crows.get(jk)
+            if crow:
+                base = r - jk
+                start = {base + q: (-v[0], -v[1]) for q, v in crow.items()}
+                _times_right(_times_left(start, brows, n, {}), arows, n2, acc)
+        row = {col: (v[0], v[1]) for col, v in acc.items() if v[0] or v[1]}
+        if row:
+            rows[r] = row
+    return rows
 
 
 def content_gcd(rows, den):

@@ -228,6 +228,8 @@ def _suite_from_file(path) -> list[tuple[str, dict]]:
             opts["norm"] = _NORMS[opts["norm"]]
         if "rep" in opts:
             opts["rep"] = _REPS[opts["rep"]]
+        if "budget_dim" in opts:
+            opts["budget_dim"] = relations.budget_dim(opts["budget_dim"])
         jobs.append((check_id, opts))
     return jobs
 
@@ -354,7 +356,9 @@ def _opts_from_args(args) -> dict:
     opts = {
         "d": args.d, "u": args.u, "v": args.v,
         "norm": _NORMS[args.norm], "rep": _REPS[args.rep],
-        "budget_dim": args.budget_dim, "seed": args.seed, "tol": args.tol,
+        # resolved and validated once, before any job runs
+        "budget_dim": relations.budget_dim(args.budget_dim),
+        "seed": args.seed, "tol": args.tol,
     }
     for key in ("signs", "quantum", "k", "parity", "points", "y", "perturb_k"):
         if hasattr(args, key):

@@ -403,3 +403,25 @@ def embed_pair(op: SparseOperator, slots, dims) -> SparseOperator:
             for o in offsets:
                 grid.setdefault(rbase + o, {})[cbase + o] = v
     return SparseOperator(acc, grid, op._den, _normalized=True)
+
+
+def _yb(a, b, c, n, with_rhs):
+    if not a.dim == b.dim == c.dim == n * n:
+        raise ValueError(f"operator dims {a.dim}, {b.dim}, {c.dim} are not {n}*{n}")
+    rows = _k.yb_grid(a._rows, b._rows, c._rows, n, with_rhs)
+    return SparseOperator(n ** 3, rows, a._den * b._den * c._den)
+
+
+def yb_difference(a: SparseOperator, b: SparseOperator, c: SparseOperator,
+                  n: int) -> SparseOperator:
+    """(a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a) on
+    V (x) V (x) V for operators a, b, c on V (x) V with dim V = n: the
+    residual of every Yang-Baxter-type relation.  It is built one row at a
+    time, without any three-space factor or product."""
+    return _yb(a, b, c, n, True)
+
+
+def yb_lhs(a: SparseOperator, b: SparseOperator, c: SparseOperator,
+           n: int) -> SparseOperator:
+    """(a (x) 1)(1 (x) b)(c (x) 1) alone, by the rows of ``yb_difference``."""
+    return _yb(a, b, c, n, False)

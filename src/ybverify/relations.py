@@ -18,7 +18,8 @@ from math import comb
 
 from .clifford import (GammaBasis, as_exp_components, as_exponential,
                        build_gamma, exchange_pair, graded_rep)
-from .kernel import ExactScalar, SparseOperator, embed_pair, kron
+from .kernel import (ExactScalar, SparseOperator, embed_pair, kron,
+                     yb_difference, yb_lhs)
 from .rmatrix import (Normalization, Parity, QuantumRep, RepChoice,
                       assemble_spinor_R, coefficients, fundamental_L0,
                       fundamental_R0, normalization_weights,
@@ -68,11 +69,22 @@ class CheckReport:
 
 
 def budget_dim(explicit: int | None = None) -> int:
-    """Resolve the dimension cap: explicit value, YBV_BUDGET_DIM, or default."""
+    """Resolve the dimension cap: explicit value, YBV_BUDGET_DIM, or default.
+    A cap that is not a positive integer raises ValueError: a cap of 0
+    would skip every bounded check and still report success."""
     if explicit is not None:
-        return explicit
-    env = os.environ.get("YBV_BUDGET_DIM")
-    return int(env) if env else DEFAULT_BUDGET_DIM
+        value, source = explicit, "budget dimension"
+    else:
+        value, source = os.environ.get("YBV_BUDGET_DIM"), "YBV_BUDGET_DIM"
+        if not value:
+            return DEFAULT_BUDGET_DIM
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return cap
 
 
 @lru_cache(maxsize=None)
@@ -129,16 +141,6 @@ def _skip(check_id, params, dim, cap, exact=True) -> CheckReport:
                        detail=f"working dimension {dim} reaches budget cap {cap}")
 
 
-def _yb_sides(a, b, c, n):
-    """(a (x) 1)(1 (x) b)(c (x) 1) and (1 (x) c)(b (x) 1)(1 (x) a) on
-    V (x) V (x) V, for two-space operators a, b, c and dim V = n: the two
-    sides of every Yang-Baxter-type relation."""
-    ident = SparseOperator.identity(n)
-    lhs = kron(a, ident) @ kron(ident, b) @ kron(c, ident)
-    rhs = kron(ident, c) @ kron(b, ident) @ kron(ident, a)
-    return lhs, rhs
-
-
 def _spinor_R(d, u, norm, rep, parity=Parity.FULL, perturb_k=None):
     table = coefficients(d, u, norm)
     if perturb_k is not None:
@@ -165,8 +167,7 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
         Ru = _spinor_R(d, u, norm, rep, perturb_k=perturb_k)
         Ruv = _spinor_R(d, u + v, norm, rep)
         Rv = _spinor_R(d, v, norm, rep)
-        lhs, rhs = _yb_sides(Ru, Ruv, Rv, n)
-        diff = lhs - rhs
+        diff = yb_difference(Ru, Ruv, Rv, n)
     return _exact_report("ybe", params, [("YBE", diff)], t,
                          convention="spectral placement (u, u+v, v)")
 
@@ -192,13 +193,14 @@ def check_three_term(d, u, v, signs, norm=Normalization.PRODUCT_FORM,
         Ri = _spinor_R(d, u, norm, rep, parity[si])
         Rk = _spinor_R(d, u + v, norm, rep, parity[sk])
         Rj = _spinor_R(d, v, norm, rep, parity[sj])
-        lhs, rhs = _yb_sides(Ri, Rk, Rj, n)
-        diffs = [("three-term", lhs - rhs)]
+        diff = yb_difference(Ri, Rk, Rj, n)
+        diffs = [("three-term", diff)]
         minus_count = sum(1 for s in signs if s == "-")
         if minus_count % 2 == 1:
             # odd sign product: both products are zero-product identities
+            lhs = yb_lhs(Ri, Rk, Rj, n)
             diffs.append(("zero-product lhs", lhs))
-            diffs.append(("zero-product rhs", rhs))
+            diffs.append(("zero-product rhs", lhs - diff))
     return _exact_report("three_term", params, diffs, t,
                          convention="spectral placement (u, u+v, v)")
 
@@ -214,8 +216,7 @@ def check_fundamental_ybe(d, u, v, budget=None) -> CheckReport:
         Ruv = fundamental_R0(d, u - v)
         Ru = fundamental_R0(d, u)
         Rv = fundamental_R0(d, v)
-        lhs, rhs = _yb_sides(Ruv, Ru, Rv, d)
-        diff = lhs - rhs
+        diff = yb_difference(Ruv, Ru, Rv, d)
     return _exact_report("fundamental_ybe", params, [("fundamental YBE", diff)], t,
                          convention="spectral placement (u-v, u, v)")
 
@@ -493,8 +494,7 @@ def check_exchange_identities(d, budget=None) -> CheckReport:
             diffs.append((f"intertwine P' index {a}",
                           rep2.op(2, a) @ Pp - Pp @ rep2.op(1, a)))
         for label, E in (("braid P", P), ("braid P'", Pp)):
-            lhs, rhs = _yb_sides(E, E, E, basis.dim)
-            diffs.append((label, lhs - rhs))
+            diffs.append((label, yb_difference(E, E, E, basis.dim)))
     return _exact_report("exchange_identities", params, diffs, t)
 
 

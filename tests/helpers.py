@@ -109,6 +109,16 @@ def dense_local_ybe_sides(basis, p, q):
     return lhs, rhs
 
 
+def yb_sides(a, b, c, n):
+    """(a (x) 1)(1 (x) b)(c (x) 1) and (1 (x) c)(b (x) 1)(1 (x) a) from
+    stored Kronecker factors and products, with dim V = n: the reference for
+    the row-streamed ``kernel.yb_difference`` and ``kernel.yb_lhs``."""
+    ident = SparseOperator.identity(n)
+    lhs = kron(a, ident) @ kron(ident, b) @ kron(c, ident)
+    rhs = kron(ident, c) @ kron(b, ident) @ kron(ident, a)
+    return lhs, rhs
+
+
 def dense_mul(a, b):
     """Naive triple-loop product via the entry() accessor."""
     out = {}

@@ -120,6 +120,31 @@ def test_budget_flag_skips(capsys):
     assert json.loads(out.strip())["status"] == "skipped"
 
 
+@pytest.mark.parametrize("env,flag", [("abc", []), ("-3", []),
+                                      (None, ["--budget-dim", "0"]),
+                                      (None, ["--budget-dim", "-1"])])
+def test_bad_budget_is_config_error(capsys, monkeypatch, env, flag):
+    # a cap of 0 used to skip 15 of the 24 d=2 checks and exit 0, and a
+    # non-integer env value used to turn every bounded job into a FAIL
+    if env is None:
+        monkeypatch.delenv("YBV_BUDGET_DIM", raising=False)
+    else:
+        monkeypatch.setenv("YBV_BUDGET_DIM", env)
+    code, out, err = run_cli(["run", "--all", "--d-list", "2", *flag], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "positive integer" in err
+
+
+def test_bad_budget_in_suite_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"check": "ybe", "params": {"d": 2, "budget_dim": 0}}]))
+    code, out, err = run_cli(["run", "--suite", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "positive integer" in err
+
+
 def test_pole_in_suite_job_is_a_fail(tmp_path, capsys):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps([{"check": "ybe",

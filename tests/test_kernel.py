@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ybverify.kernel import (ExactScalar, SparseOperator, embed, embed_pair,
-                             kron, matmul)
+                             kron, matmul, yb_difference, yb_lhs)
 
-from helpers import dense_kron, dense_mul, rand_operator
+from helpers import dense_kron, dense_mul, rand_operator, yb_sides
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 scalars = st.builds(ExactScalar, fractions, fractions)
@@ -213,3 +213,53 @@ def test_submatrix():
     assert sub.entry(0, 0) == ExactScalar(7)
     assert sub.entry(1, 0) == ExactScalar(1)
     assert sub.nnz == 2
+
+
+# --- streamed Yang-Baxter residual --------------------------------------------
+
+# small parts, and parts whose numerators and denominators pass 2^64
+yb_parts = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 66)),
+)
+
+
+@st.composite
+def yb_operands(draw):
+    """n and three random operators on V (x) V, dim V = n; empty entry maps
+    give zero operators, and sparse ones leave rows empty."""
+    n = draw(st.integers(1, 4))
+    dim = n * n
+    index = st.integers(0, dim - 1)
+    cells = st.dictionaries(st.tuples(index, index),
+                            st.builds(ExactScalar, yb_parts, yb_parts),
+                            max_size=dim * dim)
+    return (n, *(SparseOperator.from_entries(dim, draw(cells)) for _ in range(3)))
+
+
+_HUGE = Fraction(2 ** 65 + 1, 3)
+# every entry set, complex, one numerator above 2^64: rows collide in every
+# accumulation of the stream
+_DENSE = {(r, c): ExactScalar(Fraction(r - 2 * c, 1 + c), r * c - 3)
+          for r in range(4) for c in range(4)} | {(0, 1): ExactScalar(_HUGE, -_HUGE)}
+
+
+@given(yb_operands())
+@example((2, SparseOperator.from_entries(4, _DENSE), SparseOperator.zero(4),
+          SparseOperator.from_entries(4, _DENSE)))
+@example((2, *(SparseOperator.from_entries(4, _DENSE) for _ in range(3))))
+@settings(deadline=None)
+def test_yb_stream_matches_kron_chain(operands):
+    n, a, b, c = operands
+    lhs, rhs = yb_sides(a, b, c, n)
+    assert yb_difference(a, b, c, n) == lhs - rhs
+    assert yb_lhs(a, b, c, n) == lhs
+
+
+def test_yb_difference_dimension_mismatch():
+    a = SparseOperator.identity(4)
+    with pytest.raises(ValueError):
+        yb_difference(a, a, SparseOperator.identity(9), 2)
+    with pytest.raises(ValueError):
+        yb_lhs(a, a, a, 3)

@@ -6,10 +6,11 @@ import pytest
 
 from ybverify import clifford
 from ybverify import relations as rel
+from ybverify.kernel import yb_difference, yb_lhs
 from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
-                              so_defining_rep, so_spinor_rep)
+                              fundamental_R0, so_defining_rep, so_spinor_rep)
 
-from helpers import brute_as_exponential, brute_graded_generators
+from helpers import brute_as_exponential, brute_graded_generators, yb_sides
 
 U, V = Fraction(1, 2), Fraction(1, 3)
 LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
@@ -246,9 +247,44 @@ def test_yb_sides_braid_equals_brute_three_copy(d):
     for E, t in zip(clifford.exchange_pair(rel._graded(d)), (1, -1)):
         e12 = brute_as_exponential(gens, 1, 2, t)
         e23 = brute_as_exponential(gens, 2, 3, t)
-        lhs, rhs = rel._yb_sides(E, E, E, rel._basis(d).dim)
+        n = rel._basis(d).dim
+        lhs = yb_lhs(E, E, E, n)
         assert lhs == e12 @ e23 @ e12, (d, t)
-        assert rhs == e23 @ e12 @ e23, (d, t)
+        assert lhs - yb_difference(E, E, E, n) == e23 @ e12 @ e23, (d, t)
+
+
+def _spinor_triple(d, perturb_k=None):
+    norm, rep = Normalization.PRODUCT_FORM, RepChoice.PRIMED
+    return (rel._spinor_R(d, U, norm, rep, perturb_k=perturb_k),
+            rel._spinor_R(d, U + V, norm, rep), rel._spinor_R(d, V, norm, rep))
+
+
+YB_CASES = ([("spinor", d) for d in (2, 4, 6, 8)]
+            + [("fundamental", d) for d in (2, 4, 6, 8)]
+            + [(e, d) for e in ("P", "Pp") for d in (2, 4, 6)])
+
+
+@pytest.mark.parametrize("kind,d", YB_CASES)
+def test_yb_stream_matches_kron_chain_on_relation_operands(kind, d):
+    if kind == "spinor":
+        a, b, c, n = (*_spinor_triple(d), 2 ** (d // 2))
+    elif kind == "fundamental":
+        a, b, c, n = fundamental_R0(d, U - V), fundamental_R0(d, U), fundamental_R0(d, V), d
+    else:
+        a = b = c = clifford.exchange_pair(rel._graded(d))[kind == "Pp"]
+        n = rel._basis(d).dim
+    lhs, rhs = yb_sides(a, b, c, n)
+    assert yb_difference(a, b, c, n) == lhs - rhs
+    assert yb_lhs(a, b, c, n) == lhs
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_ybe_d8_perturbed_fails_like_kron_chain(k):
+    lhs, rhs = yb_sides(*_spinor_triple(8, perturb_k=k), 16)
+    (r, c), value = (lhs - rhs).first_nonzero()
+    report = rel.check_ybe(8, U, V, budget=100000, perturb_k=k)
+    assert report.status is rel.Status.FAIL
+    assert report.detail == f"YBE: first residual {value} at entry ({r},{c})"
 
 
 @pytest.fixture

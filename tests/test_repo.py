@@ -24,6 +24,25 @@ def test_no_tracked_file_is_ignored():
     assert proc.stdout == ""
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop("YBV_BUDGET_DIM", None)
+    return env
+
+
+def test_bench_kernel_runs():
+    # the kernel benchmark compares the streamed residual with the kron chain
+    # and exits non-zero when they differ
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernel.py"),
+         "--d", "2", "--repeat", "1"],
+        cwd=ROOT, env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "streamed" in proc.stdout and "kron chain" in proc.stdout
+
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     module = importlib.util.module_from_spec(spec)
@@ -36,14 +55,10 @@ def test_traced_suite_records_every_span(tmp_path):
     # break its traced run, so run the smallest traced suite here
     spans = _load_spans()
     out = tmp_path / "spans.jsonl"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    env.pop("YBV_BUDGET_DIM", None)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(out),
          "run", "--all", "--d-list", "2"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        cwd=ROOT, env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     _counters, trace = spans.read(out)
     assert spans.span_names() - spans.spans_seen(trace) == set()
