@@ -1,15 +1,13 @@
 """ybverify: exact verification toolkit for the spinorial so(d) R-matrix."""
 
-from .kernel import BACKEND, ExactScalar, SparseOperator, embed, embed_pair, kron, matmul
+from .kernel import BACKEND, ExactScalar, SparseOperator, embed_pair, kron
 
 __all__ = [
     "BACKEND",
     "ExactScalar",
     "SparseOperator",
-    "embed",
     "embed_pair",
     "kron",
-    "matmul",
 ]
 
 __version__ = "0.1.0"

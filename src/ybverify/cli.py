@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import relations
@@ -152,7 +151,7 @@ CHECK_IDS = (
 )
 
 
-def default_suite(d_list, slow=False) -> list[tuple[str, dict]]:
+def default_suite(d_list) -> list[tuple[str, dict]]:
     """The --all suite: every registered check over the requested d values at
     pole-free points from the default spectral sample set."""
     u, v, u2, v2 = DEFAULT_SPECTRAL_POINTS[:4]
@@ -179,9 +178,6 @@ def default_suite(d_list, slow=False) -> list[tuple[str, dict]]:
         jobs.append(("rfun", {"d": d, "u": Fraction(1), "y": -1.0}))
     jobs.append(("d6_reduction", {"u": Fraction(1)}))
     jobs.append(("unitarity_integral", {"d": 2, "u": Fraction(1, 2), "k": 0}))
-    if slow:
-        jobs.append(("triple_integral", {"d": 2, "u": Fraction(1, 2),
-                                         "v": Fraction(1, 2)}))
     return jobs
 
 
@@ -304,15 +300,12 @@ def _add_common(parser):
     parser.add_argument("--rep", choices=sorted(_REPS), default="primed")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--budget-dim", type=int, default=None,
                         help="skip exact checks and local_ybe at or above this "
                              "dimension (default 4096; env YBV_BUDGET_DIM)")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--timings", action="store_true",
                         help="emit wall-clock elapsed_ms in the JSON stream")
-    parser.add_argument("--slow", action="store_true",
-                        help="enable the 3d integral symmetry check")
 
 
 def build_parser():
@@ -383,16 +376,11 @@ def main(argv=None) -> int:
             d_list = [int(x) for x in args.d_list.split(",") if x]
             if any(d % 2 or d < 2 for d in d_list):
                 raise ValueError(f"d values must be even and >= 2: {d_list}")
-            jobs = default_suite(d_list, slow=args.slow)
+            jobs = default_suite(d_list)
         base = _opts_from_args(args)
         merged = [(cid, {**base, **opts}) for cid, opts in jobs]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                batches = list(pool.map(_execute, merged))
-        else:
-            batches = [_execute(job) for job in merged]
-        reports = [rep for batch in batches for rep in batch]
-        # deterministic aggregation order regardless of execution order
+        reports = [rep for job in merged for rep in _execute(job)]
+        # the stream is ordered by check id and params, not by job order
         reports.sort(key=lambda r: (r.check_id,
                                     json.dumps(r.params, sort_keys=True, default=str)))
         failed = _emit(reports, args)

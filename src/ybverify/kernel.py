@@ -12,7 +12,7 @@ The grid kernels live in ``_core``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from . import _core as _k
 
@@ -92,9 +92,6 @@ class ExactScalar:
     def __neg__(self):
         return ExactScalar(-self.re, -self.im)
 
-    def conjugate(self):
-        return ExactScalar(self.re, -self.im)
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -109,9 +106,6 @@ class ExactScalar:
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    def is_real(self):
-        return self.im == 0
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -246,14 +240,6 @@ class SparseOperator:
                 tr_im += v[1]
         return ExactScalar(Fraction(tr_re, self._den), Fraction(tr_im, self._den))
 
-    def max_abs(self) -> float:
-        """Largest entry modulus as a float (reporting only)."""
-        best = 0.0
-        for row in self._rows.values():
-            for re, im in row.values():
-                best = max(best, abs(complex(re, im)))
-        return best / self._den
-
     def to_complex_array(self):
         import numpy as np
 
@@ -345,33 +331,10 @@ class SparseOperator:
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz})"
 
 
-def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """Exact matrix product (same as the @ operator)."""
-    return a @ b
-
-
 def kron(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """Kronecker product a (x) b."""
     rows = _k.kron_grid(a._rows, b._rows, b.dim)
     return SparseOperator(a.dim * b.dim, rows, a._den * b._den)
-
-
-def embed(op: SparseOperator, slot: int, dims) -> SparseOperator:
-    """op acting on tensor slot ``slot`` of the factor list ``dims``,
-    identity elsewhere."""
-    dims = list(dims)
-    if not 0 <= slot < len(dims):
-        raise ValueError(f"slot {slot} out of range for {len(dims)} factors")
-    if op.dim != dims[slot]:
-        raise ValueError(f"operator dim {op.dim} != dims[{slot}] = {dims[slot]}")
-    left = prod(dims[:slot])
-    right = prod(dims[slot + 1:])
-    out = op
-    if left > 1:
-        out = kron(SparseOperator.identity(left), out)
-    if right > 1:
-        out = kron(out, SparseOperator.identity(right))
-    return out
 
 
 def embed_pair(op: SparseOperator, slots, dims) -> SparseOperator:

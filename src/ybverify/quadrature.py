@@ -1,6 +1,7 @@
 """Floating-point verification of the integral representations: the
 beta-function coefficient integrals, the generating-function reconstruction,
-the unitarity double integral, and the (slow, opt-in) three-fold symmetry.
+the unitarity double integral, and the (slow) three-fold symmetry, which
+only ``ybv check triple_integral`` runs.
 
 Half-line integrals are mapped to a finite interval through x = tan(theta);
 an integrable x^(u-1) endpoint singularity is removed first by substituting
@@ -21,15 +22,22 @@ from .relations import CheckReport, Status, _Timer
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rule: str = "adaptive-gk21"
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
-    substitution: str = "tan"
 
 
 DEFAULT_SPEC = QuadratureSpec()
 SLOW_SPEC = QuadratureSpec(abs_tol=1e-4, rel_tol=1e-3, max_subdivisions=40)
+
+
+def _quad(f, a: float, b: float, spec: QuadratureSpec) -> float:
+    """integral_a^b f(x) dx by adaptive QUADPACK under the tolerances and
+    subdivision limit of ``spec``; looked up as ``integrate.quad`` at each
+    call, so a wrapper installed there sees every integral."""
+    val, _ = integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                            limit=spec.max_subdivisions)
+    return val
 
 
 def _finite(value: float, label: str) -> float:
@@ -54,9 +62,7 @@ def half_line_integral(h, alpha: float, spec: QuadratureSpec = DEFAULT_SPEC) -> 
         x = w ** inv
         return h(x) * inv * (1 + w * w)
 
-    val, _ = integrate.quad(g, 0.0, math.pi / 2, epsabs=spec.abs_tol,
-                            epsrel=spec.rel_tol, limit=spec.max_subdivisions)
-    return _finite(val, "half-line integral")
+    return _finite(_quad(g, 0.0, math.pi / 2, spec), "half-line integral")
 
 
 def _beta_halfline(m: float, p: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -70,10 +76,7 @@ def _beta_halfline(m: float, p: float, spec: QuadratureSpec = DEFAULT_SPEC) -> f
         raise ValueError(f"divergent beta integral: exponents ({m}, {2 * p - m})")
 
     def panel(expo):
-        f = lambda w: (1 + w ** (2.0 / expo)) ** (-p) / expo
-        val, _ = integrate.quad(f, 0.0, 1.0, epsabs=spec.abs_tol,
-                                epsrel=spec.rel_tol, limit=spec.max_subdivisions)
-        return val
+        return _quad(lambda w: (1 + w ** (2.0 / expo)) ** (-p) / expo, 0.0, 1.0, spec)
 
     return panel(m) + panel(2 * p - m)
 
@@ -183,15 +186,10 @@ def unitarity_double_integral(d: int, u: float, k: int,
 
     def divergent_weight():
         # finite part of integral y^(-u-1) (1+y^2)^(-ypow) dy over (0, inf)
-        head, _ = integrate.quad(
-            lambda y: y ** (-u - 1) * ((1 + y * y) ** (-ypow) - 1.0),
-            0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions)
+        head = _quad(lambda y: y ** (-u - 1) * ((1 + y * y) ** (-ypow) - 1.0),
+                     0.0, 1.0, spec)
         # fold [1, inf) back to (0, 1]: exponent d - u stays positive
-        tail, _ = integrate.quad(
-            lambda y: y ** (d - u - 1) * (1 + y * y) ** (-ypow),
-            0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions)
+        tail = _quad(lambda y: y ** (d - u - 1) * (1 + y * y) ** (-ypow), 0.0, 1.0, spec)
         return head - 1.0 / u + tail
 
     fp = divergent_weight()

@@ -193,14 +193,12 @@ def check_three_term(d, u, v, signs, norm=Normalization.PRODUCT_FORM,
         Ri = _spinor_R(d, u, norm, rep, parity[si])
         Rk = _spinor_R(d, u + v, norm, rep, parity[sk])
         Rj = _spinor_R(d, v, norm, rep, parity[sj])
-        diff = yb_difference(Ri, Rk, Rj, n)
-        diffs = [("three-term", diff)]
+        diffs = [("three-term", yb_difference(Ri, Rk, Rj, n))]
         minus_count = sum(1 for s in signs if s == "-")
         if minus_count % 2 == 1:
-            # odd sign product: both products are zero-product identities
-            lhs = yb_lhs(Ri, Rk, Rj, n)
-            diffs.append(("zero-product lhs", lhs))
-            diffs.append(("zero-product rhs", lhs - diff))
+            # odd sign product: both products must vanish; with lhs = 0 and
+            # lhs - rhs = 0, rhs = 0 follows, so only lhs is tested
+            diffs.append(("zero-product lhs", yb_lhs(Ri, Rk, Rj, n)))
     return _exact_report("three_term", params, diffs, t,
                          convention="spectral placement (u, u+v, v)")
 
@@ -225,27 +223,34 @@ def check_fundamental_ybe(d, u, v, budget=None) -> CheckReport:
 # RLL relations
 # ---------------------------------------------------------------------------
 
+def _check_rll(check_id, params, d, u, v, L, m, norm, rep, budget) -> CheckReport:
+    """R12(u-v) L13(u) L23(v) = L13(v) L23(u) R12(u-v) on (spinor, spinor,
+    quantum), where ``L(basis, x)`` builds the L-operator on
+    (spinor (x) quantum) and m is the quantum dimension."""
+    n = 2 ** (d // 2)
+    dims = [n, n, m]
+    cap = budget_dim(budget)
+    if n * n * m >= cap:
+        return _skip(check_id, params, n * n * m, cap)
+    basis = _basis(d)
+    with _Timer() as t:
+        R12 = embed_pair(_spinor_R(d, u - v, norm, rep), (0, 1), dims)
+        Lu, Lv = L(basis, u), L(basis, v)
+        lhs = R12 @ embed_pair(Lu, (0, 2), dims) @ embed_pair(Lv, (1, 2), dims)
+        rhs = embed_pair(Lv, (0, 2), dims) @ embed_pair(Lu, (1, 2), dims) @ R12
+        diff = lhs - rhs
+    return _exact_report(check_id, params, [("RLL", diff)], t,
+                         convention="spectral placement u-v")
+
+
 def check_rll_fundamental(d, u, v, norm=Normalization.PRODUCT_FORM,
                           rep=RepChoice.PRIMED, budget=None) -> CheckReport:
     """R12(u-v) L13(u) L23(v) = L13(v) L23(u) R12(u-v) with the fundamental
     L-operator, on (spinor, spinor, defining)."""
     u, v = Fraction(u), Fraction(v)
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "norm": _fmt(norm), "rep": _fmt(rep)}
-    n = 2 ** (d // 2)
-    dims = [n, n, d]
-    total = n * n * d
-    cap = budget_dim(budget)
-    if total >= cap:
-        return _skip("rll_fundamental", params, total, cap)
-    basis = _basis(d)
-    with _Timer() as t:
-        R12 = embed_pair(_spinor_R(d, u - v, norm, rep), (0, 1), dims)
-        Lu, Lv = fundamental_L0(basis, u), fundamental_L0(basis, v)
-        lhs = R12 @ embed_pair(Lu, (0, 2), dims) @ embed_pair(Lv, (1, 2), dims)
-        rhs = embed_pair(Lv, (0, 2), dims) @ embed_pair(Lu, (1, 2), dims) @ R12
-        diff = lhs - rhs
-    return _exact_report("rll_fundamental", params, [("RLL", diff)], t,
-                         convention="spectral placement u-v")
+    return _check_rll("rll_fundamental", params, d, u, v, fundamental_L0, d,
+                      norm, rep, budget)
 
 
 def check_rll_quantum(d, u, v, q: QuantumRep, quantum_name="custom",
@@ -258,21 +263,8 @@ def check_rll_quantum(d, u, v, q: QuantumRep, quantum_name="custom",
     u, v = Fraction(u), Fraction(v)
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "quantum": quantum_name,
               "m": q.m, "norm": _fmt(norm), "rep": _fmt(rep)}
-    n = 2 ** (d // 2)
-    dims = [n, n, q.m]
-    total = n * n * q.m
-    cap = budget_dim(budget)
-    if total >= cap:
-        return _skip("rll_quantum", params, total, cap)
-    basis = _basis(d)
-    with _Timer() as t:
-        R12 = embed_pair(_spinor_R(d, u - v, norm, rep), (0, 1), dims)
-        Lu, Lv = quantum_L(basis, u, q), quantum_L(basis, v, q)
-        lhs = R12 @ embed_pair(Lu, (0, 2), dims) @ embed_pair(Lv, (1, 2), dims)
-        rhs = embed_pair(Lv, (0, 2), dims) @ embed_pair(Lu, (1, 2), dims) @ R12
-        diff = lhs - rhs
-    return _exact_report("rll_quantum", params, [("RLL", diff)], t,
-                         convention="spectral placement u-v")
+    return _check_rll("rll_quantum", params, d, u, v,
+                      lambda basis, x: quantum_L(basis, x, q), q.m, norm, rep, budget)
 
 
 def check_asym(q: QuantumRep, quantum_name="custom") -> CheckReport:

@@ -342,20 +342,13 @@ def fundamental_R0(d: int, u) -> SparseOperator:
 
 
 def fundamental_L0(basis: GammaBasis, u) -> SparseOperator:
-    """L-operator on (spinor (x) defining): u 1(x)I - (1/4)[gamma^a, gamma^b] (x) e_ab."""
-    d = basis.d
-    u = Fraction(u)
-    out = SparseOperator.identity(basis.dim * d).scale(u)
-    half = Fraction(-1, 2)
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            if a == b:
-                continue
-            # [gamma_a, gamma_b] = 2 gamma_a gamma_b for a != b
-            gab = (basis.gamma(a) @ basis.gamma(b)).scale(half)
-            e_ab = SparseOperator.from_entries(d, {(a - 1, b - 1): 1})
-            out = out + kron(gab, e_ab)
-    return out
+    """L-operator on (spinor (x) defining): u 1(x)I - (1/4)[gamma^a, gamma^b] (x) e_ab.
+
+    It is the quantum L-operator on the defining representation: with
+    (M_ab)_ce = i(d_ac d_be - d_bc d_ae), (i/4) gamma_ab (x) M^ab summed over
+    a < b with weight 2 is -(1/2) sum_{a != b} gamma_a gamma_b (x) e_ab.
+    """
+    return quantum_L(basis, u, so_defining_rep(basis.d))
 
 
 class QuantumRep:

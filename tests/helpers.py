@@ -119,6 +119,25 @@ def yb_sides(a, b, c, n):
     return lhs, rhs
 
 
+def fundamental_L0_loop(basis, u):
+    """u 1 (x) I - (1/4)[gamma_a, gamma_b] (x) e_ab summed over a != b, one
+    kron per ordered pair with matrix units e_ab: the reference for
+    ``rmatrix.fundamental_L0``, which is built from the defining-rep
+    quantum L-operator instead."""
+    d = basis.d
+    u = Fraction(u)
+    out = SparseOperator.identity(basis.dim * d).scale(u)
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            if a == b:
+                continue
+            # [gamma_a, gamma_b] = 2 gamma_a gamma_b for a != b
+            gab = (basis.gamma(a) @ basis.gamma(b)).scale(Fraction(-1, 2))
+            e_ab = SparseOperator.from_entries(d, {(a - 1, b - 1): 1})
+            out = out + kron(gab, e_ab)
+    return out
+
+
 def dense_mul(a, b):
     """Naive triple-loop product via the entry() accessor."""
     out = {}

@@ -175,11 +175,13 @@ def test_program_bug_is_not_a_verdict(monkeypatch):
 
 
 def test_exact_commands_load_neither_numpy_nor_scipy():
+    # nor a process pool: the suite runs its jobs in one process
+    heavy = "{'numpy', 'scipy', 'concurrent.futures.process'}"
     script = ("import sys\n"
               "import ybverify.cli\n"
-              "after_import = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+              f"after_import = sorted({heavy} & set(sys.modules))\n"
               "code = ybverify.cli.main(['check', 'ybe', '--d', '4'])\n"
-              "after_check = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+              f"after_check = sorted({heavy} & set(sys.modules))\n"
               "print(after_import, after_check, code, file=sys.stderr)\n")
     src = str(Path(ybverify.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -255,11 +257,6 @@ def test_table_format(capsys):
     assert code == 0
     assert out.startswith("ok")
     assert not err
-
-
-def test_jobs_parallel(capsys):
-    code, out, _ = run_cli(["run", "--all", "--d-list", "2", "--jobs", "2"], capsys)
-    assert code == 0
 
 
 def test_console_script_entry():

@@ -7,7 +7,7 @@ import pytest
 from ybverify.clifford import (as_exp_components, as_exponential, antisym_product,
                                build_gamma, exchange_pair, gamma5_pair_reflection,
                                graded_rep)
-from ybverify.kernel import ExactScalar, SparseOperator, embed, kron
+from ybverify.kernel import ExactScalar, SparseOperator, kron
 
 from helpers import (brute_antisym, brute_as_exp_components, brute_as_exponential,
                      brute_graded_generators)
@@ -145,8 +145,9 @@ def test_as_exp_components_match_generator_products(bases, d, n, i):
     # on n oracle copies, the components of copies (i, i+1) are the two-copy
     # S_k with identities on the other copies: S_k (x) 1 and 1 (x) S_k at n = 3
     basis = bases[d]
-    dims = [basis.dim] * (i - 1) + [basis.dim ** 2] + [basis.dim] * (n - i - 1)
-    want = tuple(embed(sk, i - 1, dims) for sk in as_exp_components(graded_rep(basis)))
+    left = SparseOperator.identity(basis.dim ** (i - 1))
+    right = SparseOperator.identity(basis.dim ** (n - i - 1))
+    want = tuple(kron(kron(left, sk), right) for sk in as_exp_components(graded_rep(basis)))
     assert brute_as_exp_components(brute_graded_generators(basis, n), i, i + 1) == want
 
 

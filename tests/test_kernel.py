@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybverify.kernel import (ExactScalar, SparseOperator, embed, embed_pair,
-                             kron, matmul, yb_difference, yb_lhs)
+from ybverify.kernel import (ExactScalar, SparseOperator, embed_pair, kron,
+                             yb_difference, yb_lhs)
 
 from helpers import dense_kron, dense_mul, rand_operator, yb_sides
 
@@ -72,7 +72,7 @@ def pauli(which):
 
 def test_matmul_identity():
     ident = SparseOperator.identity(4)
-    assert matmul(ident, ident) == ident
+    assert ident @ ident == ident
 
 
 def test_matmul_pauli_product():
@@ -99,7 +99,7 @@ def test_matmul_matches_dense_oracle():
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
-        matmul(SparseOperator.identity(2), SparseOperator.identity(3))
+        SparseOperator.identity(2) @ SparseOperator.identity(3)
 
 
 # --- kron ------------------------------------------------------------------
@@ -135,34 +135,7 @@ def test_kron_mixed_product_law():
         assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
 
-# --- embed -----------------------------------------------------------------
-
-def test_embed_slots():
-    s1 = pauli(1)
-    assert embed(s1, 0, [2, 2]) == kron(s1, SparseOperator.identity(2))
-    assert embed(s1, 1, [2, 2]) == kron(SparseOperator.identity(2), s1)
-
-
-def test_embed_disjoint_slots_commute():
-    a, b = pauli(1), pauli(2)
-    lhs = embed(a, 0, [2, 2, 2]) @ embed(b, 2, [2, 2, 2])
-    rhs = embed(b, 2, [2, 2, 2]) @ embed(a, 0, [2, 2, 2])
-    assert lhs == rhs
-
-
-def test_embed_matches_explicit_kron_chain():
-    rng = random.Random(3)
-    op = rand_operator(rng, 3, 5)
-    ident2 = SparseOperator.identity(2)
-    assert embed(op, 1, [2, 3, 2]) == kron(ident2, kron(op, ident2))
-
-
-def test_embed_errors():
-    with pytest.raises(ValueError):
-        embed(pauli(1), 3, [2, 2])
-    with pytest.raises(ValueError):
-        embed(pauli(1), 0, [3, 2])
-
+# --- embed_pair ------------------------------------------------------------
 
 def test_embed_pair_adjacent_matches_kron():
     rng = random.Random(5)
@@ -174,11 +147,11 @@ def test_embed_pair_adjacent_matches_kron():
 
 
 def test_embed_pair_split_slots():
-    # A (x) B on slots (0, 2) must equal embed(A,0) @ embed(B,2)
+    # A (x) B on slots (0, 2) must equal (A (x) 1 (x) 1)(1 (x) 1 (x) B)
     a, b = pauli(1), pauli(2)
     dims = [2, 3, 2]
     lhs = embed_pair(kron(a, b), (0, 2), dims)
-    rhs = embed(a, 0, dims) @ embed(b, 2, dims)
+    rhs = kron(a, SparseOperator.identity(6)) @ kron(SparseOperator.identity(6), b)
     assert lhs == rhs
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ybverify import clifford
+from ybverify import clifford, rmatrix
 from ybverify import relations as rel
-from ybverify.kernel import yb_difference, yb_lhs
+from ybverify.kernel import SparseOperator, yb_difference, yb_lhs
 from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               fundamental_R0, so_defining_rep, so_spinor_rep)
 
@@ -152,6 +152,29 @@ def test_rll_quantum_defining():
         q = so_defining_rep(d)
         report = rel.check_rll_quantum(d, Fraction(1), V, q, "defining")
         assert report.passed, (d, report.detail)
+
+
+# d = 2 is left out: so(2) is abelian, and the RLL relation survives a
+# rescaled generator part there
+@pytest.mark.parametrize("d,fund,quant,entry", [(4, "-1/4", "-4/9", "(0,6)"),
+                                                (6, "-5/8", "-32/27", "(0,16)")])
+def test_rll_doubled_generator_part_fails(monkeypatch, d, fund, quant, entry):
+    # u + 2 (i/4) gamma_ab (x) M^ab in place of the quantum L-operator; the
+    # fundamental L-operator reaches it through rmatrix
+    quantum_L = rmatrix.quantum_L
+
+    def doubled(basis, u, q):
+        return quantum_L(basis, u, q).scale(2) \
+            - SparseOperator.identity(basis.dim * q.m).scale(u)
+
+    monkeypatch.setattr(rmatrix, "quantum_L", doubled)
+    monkeypatch.setattr(rel, "quantum_L", doubled)
+    report = rel.check_rll_fundamental(d, Fraction(1), Fraction(1, 2))
+    _fails_at(report, "RLL")
+    assert report.detail.endswith(f"first residual {fund} at entry {entry}")
+    report = rel.check_rll_quantum(d, Fraction(1), V, so_defining_rep(d), "defining")
+    _fails_at(report, "RLL")
+    assert report.detail.endswith(f"first residual {quant} at entry {entry}")
 
 
 def test_asym_vacuous_at_d2():

@@ -13,6 +13,8 @@ from ybverify.rmatrix import (Normalization, Parity,
                               projectors, quantum_L, so_defining_rep,
                               so_spinor_rep, weyl_projectors)
 
+from helpers import fundamental_L0_loop
+
 U_SAMPLES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2),
              Fraction(-1, 5), Fraction(-3, 7)]
 
@@ -299,14 +301,17 @@ def test_spinor_rep_so_relations(bases, d):
     assert so_spinor_rep(bases[d]).satisfies_so_relations()
 
 
-def test_quantum_L_defining_equals_fundamental(bases):
+def test_quantum_L_defining_equals_fundamental():
     # with the sign that satisfies the so(d) brackets, the defining-rep
-    # L-operator coincides with the fundamental one
-    for d in (2, 4):
-        basis = bases[d]
+    # L-operator coincides with the fundamental one, built here by its own
+    # a != b loop over matrix units
+    for d in (2, 4, 6, 8):
+        basis = build_gamma(d)
         q = so_defining_rep(d)
-        for u in (Fraction(0), Fraction(1), Fraction(-2, 5)):
-            assert quantum_L(basis, u, q) == fundamental_L0(basis, u)
+        for u in (Fraction(0), Fraction(1, 2), Fraction(-3, 7), Fraction(-2, 5)):
+            want = fundamental_L0_loop(basis, u)
+            assert quantum_L(basis, u, q) == want, (d, u)
+            assert fundamental_L0(basis, u) == want, (d, u)
 
 
 def test_quantum_L_pure_generator_part(bases):
