@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import relations
-from .clifford import build_gamma
+from .clifford import DEFAULT_MAX_D, build_gamma
 from .kernel import SparseOperator
 from .relations import DEFAULT_SEED, DEFAULT_SPECTRAL_POINTS, CheckReport, Status
 from .rmatrix import (Normalization, RepChoice, coefficients,
@@ -25,6 +25,10 @@ from .rmatrix import (Normalization, RepChoice, coefficients,
 
 _NORMS = {n.value: n for n in Normalization}
 _REPS = {r.value: r for r in RepChoice}
+# option keys of ``check`` that only it has; a suite file's params take these
+# and the common ones
+_CHECK_KEYS = ("signs", "quantum", "k", "parity", "points", "y", "perturb_k")
+_PARAM_KEYS = {"d", "u", "v", "norm", "rep", "tol", "seed", "budget_dim", *_CHECK_KEYS}
 
 
 def _frac(text: str) -> Fraction:
@@ -32,6 +36,14 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _points(value) -> int:
+    """Validate a sample count: with 0 points a float check reports no line,
+    which reads as a PASS."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"points must be a positive integer, got {value!r}")
+    return value
 
 
 def _quantum_rep(name: str, d: int):
@@ -99,12 +111,12 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
         from . import localyb
 
         rng = random.Random(seed)
-        rep2 = relations._graded(d)
+        basis = relations._basis(d)
         out = []
         for region in localyb.all_regions():
             for _ in range(opts.get("points", 5)):
                 p = localyb.sample_triple(rng, region)
-                report = localyb.check_local_ybe(rep2, p, tol or 1e-9)
+                report = localyb.check_local_ybe(basis, p, tol or 1e-9)
                 report.params["seed"] = seed
                 out.append(report)
         return out
@@ -217,9 +229,17 @@ def _suite_from_file(path) -> list[tuple[str, dict]]:
         if check_id not in CHECK_IDS:
             raise KeyError(check_id)
         opts = dict(item.get("params", {}))
-        for key in ("u", "v", "x", "y"):
-            if key in opts and isinstance(opts[key], str):
-                opts[key] = Fraction(opts[key])
+        unknown = sorted(set(opts) - _PARAM_KEYS)
+        if unknown:
+            raise ValueError(f"{check_id}: unknown params {', '.join(unknown)}")
+        # parsed as the check options --u, --v and --y are
+        for key in ("u", "v"):
+            if key in opts:
+                opts[key] = _frac(str(opts[key]))
+        if "y" in opts:
+            opts["y"] = float(opts["y"])
+        if "points" in opts:
+            opts["points"] = _points(opts["points"])
         if "norm" in opts:
             opts["norm"] = _NORMS[opts["norm"]]
         if "rep" in opts:
@@ -353,9 +373,11 @@ def _opts_from_args(args) -> dict:
         "budget_dim": relations.budget_dim(args.budget_dim),
         "seed": args.seed, "tol": args.tol,
     }
-    for key in ("signs", "quantum", "k", "parity", "points", "y", "perturb_k"):
+    for key in _CHECK_KEYS:
         if hasattr(args, key):
             opts[key] = getattr(args, key)
+    if "points" in opts:
+        opts["points"] = _points(opts["points"])
     return opts
 
 
@@ -374,8 +396,9 @@ def main(argv=None) -> int:
             jobs = _suite_from_file(args.suite)
         else:
             d_list = [int(x) for x in args.d_list.split(",") if x]
-            if any(d % 2 or d < 2 for d in d_list):
-                raise ValueError(f"d values must be even and >= 2: {d_list}")
+            if any(d % 2 or not 2 <= d <= DEFAULT_MAX_D for d in d_list):
+                raise ValueError(f"d values must be even with 2 <= d <= "
+                                 f"{DEFAULT_MAX_D}: {d_list}")
             jobs = default_suite(d_list)
         base = _opts_from_args(args)
         merged = [(cid, {**base, **opts}) for cid, opts in jobs]
@@ -385,7 +408,7 @@ def main(argv=None) -> int:
                                     json.dumps(r.params, sort_keys=True, default=str)))
         failed = _emit(reports, args)
         return 1 if failed else 0
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"ybv: error: {exc}", file=sys.stderr)
         return 2
 

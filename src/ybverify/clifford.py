@@ -1,5 +1,5 @@
 """Gamma matrices for even d, antisymmetrized basis elements, the two-copy
-graded representation, As-exponentials and exchange operators.
+As-components, As-exponentials and exchange operators.
 
 The gamma matrices come from the standard recursive (Jordan-Wigner style)
 doubling over Pauli factors; the basis is then permuted so the chirality
@@ -38,6 +38,7 @@ class GammaBasis:
         self.alpha = alpha
         self._contractions = {}
         self._antisym = {}
+        self._components = None  # the As-components S_0..S_d
 
     def gamma(self, a: int) -> SparseOperator:
         """gamma_a for a = 1..d (the paper's index convention)."""
@@ -136,70 +137,45 @@ def antisym_product(basis: GammaBasis, indices) -> SparseOperator:
     return basis.antisym_mask(mask)
 
 
-class GradedRep:
-    """Two anticommuting copies of the Clifford algebra on 2^d dims:
-    Gamma_{1,a} = gamma_a (x) 1 and Gamma_{2,a} = gamma5 (x) gamma_a.
+def graded_rep(basis: GammaBasis):
+    """The generators of two anticommuting Clifford copies on 2^d dims, as
+    the tuples (gamma_a (x) 1) and (gamma5 (x) gamma_a), a = 1..d.
 
     A three-space operator never needs a third copy: the Yang-Baxter-type
     relations place two-copy operators A on slots (1,2) and (2,3) of
     V (x) V (x) V as A (x) 1 and 1 (x) A.
     """
-
-    def __init__(self, basis: GammaBasis, copy_ops):
-        self.basis = basis
-        self.dim = copy_ops[0][0].dim
-        self._ops = copy_ops
-        self._components = None
-        # numpy stack of the components, filled by the float local
-        # Yang-Baxter check (localyb), so that this module needs no numpy
-        self._dense_components = None
-
-    def op(self, i: int, a: int) -> SparseOperator:
-        """Gamma_{i,a} with copy i = 1, 2 and index a = 1..d."""
-        if i not in (1, 2):
-            raise ValueError(f"copy {i} outside 1..2")
-        if not 1 <= a <= self.basis.d:
-            raise ValueError(f"index {a} outside 1..{self.basis.d}")
-        return self._ops[i - 1][a - 1]
-
-    def __repr__(self):
-        return f"GradedRep(d={self.basis.d})"
-
-
-def graded_rep(basis: GammaBasis) -> GradedRep:
-    """Build the two-copy graded representation."""
     ident = SparseOperator.identity(basis.dim)
-    return GradedRep(basis, ([kron(g, ident) for g in basis.gammas],
-                             [kron(basis.gamma5, g) for g in basis.gammas]))
+    return (tuple(kron(g, ident) for g in basis.gammas),
+            tuple(kron(basis.gamma5, g) for g in basis.gammas))
 
 
-def as_exp_components(rep: GradedRep):
+def as_exp_components(basis: GammaBasis):
     """S_k = s_k * sum over |A| = k of Gamma_{1,A} Gamma_{2,A}, k = 0..d,
-    with s_k = (-1)^(k(k-1)/2); so E(t) = sum_k t^k S_k.
+    with s_k = (-1)^(k(k-1)/2); so E(t) = sum_k t^k S_k.  Built once per
+    basis.
 
     Gamma_{1,A} = gamma_A (x) 1 and Gamma_{2,A} = gamma5^k (x) gamma_A, so
     S_k = s_k * T_k (gamma5^k (x) 1), with T_k the pair contraction.
     """
-    if rep._components is not None:
-        return rep._components
-    basis = rep.basis
-    g5 = kron(basis.gamma5, SparseOperator.identity(basis.dim))
-    comps = []
-    for k in range(basis.d + 1):
-        sk = basis.pair_contraction(k)
-        if k % 2:
-            sk = sk @ g5
-        if (k * (k - 1) // 2) % 2:
-            sk = -sk
-        comps.append(sk)
-    rep._components = tuple(comps)
-    return rep._components
+    if basis._components is None:
+        g5 = kron(basis.gamma5, SparseOperator.identity(basis.dim))
+        comps = []
+        for k in range(basis.d + 1):
+            sk = basis.pair_contraction(k)
+            if k % 2:
+                sk = sk @ g5
+            if (k * (k - 1) // 2) % 2:
+                sk = -sk
+            comps.append(sk)
+        basis._components = tuple(comps)
+    return basis._components
 
 
-def as_exponential(rep: GradedRep, t) -> SparseOperator:
+def as_exponential(basis: GammaBasis, t) -> SparseOperator:
     """The As-exponential E(t): matrix avatar of As(exp(t Gamma_1.Gamma_2))."""
     t = Fraction(t)
-    comps = as_exp_components(rep)
+    comps = as_exp_components(basis)
     acc = comps[0]
     power = Fraction(1)
     for k in range(1, len(comps)):
@@ -209,7 +185,7 @@ def as_exponential(rep: GradedRep, t) -> SparseOperator:
     return acc
 
 
-def exchange_pair(rep: GradedRep):
+def exchange_pair(basis: GammaBasis):
     """The exchange operators (P, P') = (E(1), E(-1)).
 
     At matrix level E(1) intertwines Gamma_{1,a} P = P Gamma_{2,a} and E(-1)
@@ -217,7 +193,7 @@ def exchange_pair(rep: GradedRep):
     to the defining relations, which the exchange-identities check pins down
     explicitly).
     """
-    return as_exponential(rep, 1), as_exponential(rep, -1)
+    return as_exponential(basis, 1), as_exponential(basis, -1)
 
 
 def gamma5_pair_reflection(basis: GammaBasis, k: int) -> SparseOperator:

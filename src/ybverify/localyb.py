@@ -9,7 +9,7 @@ transformed-point checks are float checks with configurable tolerances.
 The matrix form of the local relation lives on three copies, but its
 factors do not need them: with E(t) the two-copy As-exponential
 (n^2 x n^2, n = 2^(d/2)), E12(t) = E(t) (x) 1_n and E23(t) = 1_n (x) E(t).
-The check therefore works from the two-copy representation and builds only
+The check therefore works from the two-copy As-exponential and builds only
 the two n^3 x n^3 sides it compares.
 """
 
@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import GradedRep, as_exp_components
+from .clifford import GammaBasis, as_exp_components
 from .relations import DEFAULT_SEED, CheckReport, Status, _Timer
 
 DEFAULT_MATRIX_TOL = 1e-9
@@ -206,24 +207,23 @@ def jacobian_fd(p: TripleXYZ, h: float = 1e-6) -> float:
 # float evaluation of As-exponentials
 # ---------------------------------------------------------------------------
 
-def _dense_components(rep: GradedRep) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _dense_components(basis: GammaBasis) -> np.ndarray:
     """The two-copy As-components S_0..S_d as one dense stack, built once
-    per representation.
+    per basis.
 
     In the chiral basis every S_k is real (gamma_A (x) gamma_A pairs two
     real or two imaginary monomial matrices), so the stack drops its zero
     imaginary part and the sides are multiplied in real arithmetic."""
-    if rep._dense_components is None:
-        stack = np.stack([c.to_complex_array() for c in as_exp_components(rep)])
-        if stack.imag.any():
-            raise AssertionError("As-components are not real in the chiral basis")
-        rep._dense_components = stack.real.copy()
-    return rep._dense_components
+    stack = np.stack([c.to_complex_array() for c in as_exp_components(basis)])
+    if stack.imag.any():
+        raise AssertionError("As-components are not real in the chiral basis")
+    return stack.real.copy()
 
 
-def as_exponential_float(rep: GradedRep, t: float) -> np.ndarray:
+def as_exponential_float(basis: GammaBasis, t: float) -> np.ndarray:
     """The two-copy As-exponential E(t) = sum_k t^k S_k, an n^2 x n^2 array."""
-    comps = _dense_components(rep)
+    comps = _dense_components(basis)
     return np.tensordot(float(t) ** np.arange(comps.shape[0]), comps, axes=1)
 
 
@@ -237,47 +237,46 @@ def _apply_e23(e: np.ndarray, side: np.ndarray) -> np.ndarray:
     return np.matmul(e, side.reshape(-1, e.shape[0], side.shape[1])).reshape(side.shape)
 
 
-def local_ybe_sides(rep: GradedRep, p: TripleXYZ, q: TripleXYZ):
+def local_ybe_sides(basis: GammaBasis, p: TripleXYZ, q: TripleXYZ):
     """The two N x N sides (N = n^3) of the local Yang-Baxter relation at p
-    and its primed partner q, from the two-copy representation ``rep``.
+    and its primed partner q, from the two-copy As-exponential of ``basis``.
 
     The rightmost factor of each side is one Kronecker product and each
     further factor one n^2 x n^2 product on a reshape: O(n^7) work per side
     instead of O(n^9) for dense N x N products.
     """
-    d = rep.basis.d
-    ident = np.eye(rep.basis.dim)
+    d = basis.d
+    ident = np.eye(basis.dim)
     x, y, z = (float(v) for v in p)
     xp, yp, zp = (float(v) for v in q)
     # scale the n^2 x n^2 factor, not the N x N side
-    lhs = np.kron(as_exponential_float(rep, x) * (1 - x * y) ** (-d), ident)
-    lhs = _apply_e12(as_exponential_float(rep, y),
-                     _apply_e23(as_exponential_float(rep, z), lhs))
-    rhs = np.kron(ident, as_exponential_float(rep, yp) * (1 - xp * yp) ** (-d))
-    rhs = _apply_e23(as_exponential_float(rep, xp),
-                     _apply_e12(as_exponential_float(rep, zp), rhs))
+    lhs = np.kron(as_exponential_float(basis, x) * (1 - x * y) ** (-d), ident)
+    lhs = _apply_e12(as_exponential_float(basis, y),
+                     _apply_e23(as_exponential_float(basis, z), lhs))
+    rhs = np.kron(ident, as_exponential_float(basis, yp) * (1 - xp * yp) ** (-d))
+    rhs = _apply_e23(as_exponential_float(basis, xp),
+                     _apply_e12(as_exponential_float(basis, zp), rhs))
     return lhs, rhs
 
 
-def check_local_ybe(rep: GradedRep, p: TripleXYZ,
+def check_local_ybe(basis: GammaBasis, p: TripleXYZ,
                     tol: float = DEFAULT_MATRIX_TOL) -> CheckReport:
     """(1-xy)^-d E12(y) E23(z) E12(x) = (1-x'y')^-d E23(x') E12(z') E23(y')
     entrywise on three copies, at the point p and its primed partner.
 
-    ``rep`` is the two-copy representation: E12 = E (x) 1 and E23 = 1 (x) E
-    are applied as Kronecker factors of its As-exponential E (see
-    ``local_ybe_sides``), and only the two sides are built at three-copy
-    size.
+    E12 = E (x) 1 and E23 = 1 (x) E are applied as Kronecker factors of the
+    two-copy As-exponential E of ``basis`` (see ``local_ybe_sides``), and
+    only the two sides are built at three-copy size.
 
     The residual is measured relative to the matrices' own scale (the
     relation is covariant under rescaling, so an absolute entry tolerance
     would be ill-posed for generically sized sample points).
     """
-    params = {"d": rep.basis.d, "x": str(p.x), "y": str(p.y), "z": str(p.z), "tol": tol}
+    params = {"d": basis.d, "x": str(p.x), "y": str(p.y), "z": str(p.z), "tol": tol}
     with _Timer() as t_:
         q = solve_primed(p)
         xp, yp, zp = (float(v) for v in q)
-        lhs, rhs = local_ybe_sides(rep, p, q)
+        lhs, rhs = local_ybe_sides(basis, p, q)
         # max|lhs| and max|lhs - rhs| without the temporaries of np.abs
         scale = max(1.0, float(lhs.max()), -float(lhs.min()))
         np.subtract(lhs, rhs, out=rhs)

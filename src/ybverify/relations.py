@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .clifford import (GammaBasis, as_exp_components, as_exponential,
-                       build_gamma, exchange_pair, graded_rep)
+from .clifford import (GammaBasis, antisym_product, as_exp_components,
+                       as_exponential, build_gamma, exchange_pair, graded_rep)
 from .kernel import (ExactScalar, SparseOperator, embed_pair, kron,
                      yb_difference, yb_lhs)
 from .rmatrix import (Normalization, Parity, QuantumRep, RepChoice,
@@ -90,11 +90,6 @@ def budget_dim(explicit: int | None = None) -> int:
 @lru_cache(maxsize=None)
 def _basis(d: int) -> GammaBasis:
     return build_gamma(d)
-
-
-@lru_cache(maxsize=None)
-def _graded(d: int):
-    return graded_rep(_basis(d))
 
 
 def _fmt(value) -> str:
@@ -380,7 +375,7 @@ def check_symmetries(d, u, norm=Normalization.PRODUCT_FORM,
         for label, R in parts:
             for a in range(1, d + 1):
                 for b in range(a + 1, d + 1):
-                    gab = basis.gamma(a) @ basis.gamma(b)
+                    gab = antisym_product(basis, (a, b))
                     gen = kron(gab, ident) + kron(ident, gab)
                     diffs.append((f"so generator ({a},{b}) on {label} part",
                                   gen @ R - R @ gen))
@@ -467,12 +462,11 @@ def check_exchange_identities(d, budget=None) -> CheckReport:
     if n3 >= cap:
         return _skip("exchange_identities", params, n3, cap)
     with _Timer() as t:
-        rep2 = _graded(d)
-        P, Pp = exchange_pair(rep2)
-        comps = as_exp_components(rep2)
-        ident2 = SparseOperator.identity(rep2.dim)
+        basis = _basis(d)
+        P, Pp = exchange_pair(basis)
+        comps = as_exp_components(basis)
+        ident2 = SparseOperator.identity(basis.dim ** 2)
         two_d = 2 ** d
-        basis = rep2.basis
         diffs = [
             ("P P'", P @ Pp - ident2.scale(two_d)),
             ("P' P", Pp @ P - ident2.scale(two_d)),
@@ -480,11 +474,9 @@ def check_exchange_identities(d, budget=None) -> CheckReport:
             ("P' P'", Pp @ Pp - comps[d].scale((-2) ** d)),
             ("top component", comps[d] - kron(basis.gamma5, basis.gamma5)),
         ]
-        for a in range(1, d + 1):
-            diffs.append((f"intertwine P index {a}",
-                          rep2.op(1, a) @ P - P @ rep2.op(2, a)))
-            diffs.append((f"intertwine P' index {a}",
-                          rep2.op(2, a) @ Pp - Pp @ rep2.op(1, a)))
+        for a, (g1, g2) in enumerate(zip(*graded_rep(basis)), start=1):
+            diffs.append((f"intertwine P index {a}", g1 @ P - P @ g2))
+            diffs.append((f"intertwine P' index {a}", g2 @ Pp - Pp @ g1))
         for label, E in (("braid P", P), ("braid P'", Pp)):
             diffs.append((label, yb_difference(E, E, E, basis.dim)))
     return _exact_report("exchange_identities", params, diffs, t)
@@ -497,9 +489,9 @@ def check_generating_product(d, x, y) -> CheckReport:
     if x * y == 1:
         raise ValueError("xy = 1 is outside the product law's domain")
     with _Timer() as t:
-        rep = _graded(d)
-        lhs = as_exponential(rep, x) @ as_exponential(rep, y)
+        basis = _basis(d)
+        lhs = as_exponential(basis, x) @ as_exponential(basis, y)
         arg = (x + y) / (1 - x * y)
-        rhs = as_exponential(rep, arg).scale((1 - x * y) ** d)
+        rhs = as_exponential(basis, arg).scale((1 - x * y) ** d)
         diff = lhs - rhs
     return _exact_report("generating_product", params, [("product law", diff)], t)

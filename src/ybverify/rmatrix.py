@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import GammaBasis
+from .clifford import GammaBasis, antisym_product, as_exp_components
 from .kernel import ExactScalar, SparseOperator, kron
 
 
@@ -275,9 +275,15 @@ def assemble_spinor_R(basis: GammaBasis, table: CoefficientTable,
                       rep: RepChoice = RepChoice.NAIVE,
                       parity: Parity = Parity.FULL) -> SparseOperator:
     """Sum_k R_k(u) T_k restricted to the requested parity, with the chosen
-    chirality dressing applied to the odd part."""
+    chirality dressing applied to the odd part.
+
+    The primed dressing T_k (gamma5^k (x) 1) is s_k S_k, with S_k the
+    As-components of E(t) and s_k = (-1)^(k(k-1)/2), so the primed matrix is
+    Sum_k s_k R_k(u) S_k over the cached components.
+    """
     if table.d != basis.d:
         raise ValueError(f"table is for d={table.d}, basis for d={basis.d}")
+    comps = as_exp_components(basis) if rep is RepChoice.PRIMED else None
     dim2 = basis.dim * basis.dim
     even = SparseOperator.zero(dim2)
     odd = SparseOperator.zero(dim2)
@@ -285,16 +291,16 @@ def assemble_spinor_R(basis: GammaBasis, table: CoefficientTable,
         coeff = table[k]
         if not coeff:
             continue
-        term = basis.pair_contraction(k).scale(coeff)
+        if comps is None:
+            term = basis.pair_contraction(k).scale(coeff)
+        else:
+            term = comps[k].scale(-coeff if (k * (k - 1) // 2) % 2 else coeff)
         if k % 2 == 0:
             even = even + term
         else:
             odd = odd + term
-    if not odd.is_zero():
-        if rep is RepChoice.PRIMED:
-            odd = odd @ kron(basis.gamma5, SparseOperator.identity(basis.dim))
-        elif rep is RepChoice.DOUBLE_PRIMED:
-            odd = -(odd @ kron(SparseOperator.identity(basis.dim), basis.gamma5))
+    if rep is RepChoice.DOUBLE_PRIMED and not odd.is_zero():
+        odd = -(odd @ kron(SparseOperator.identity(basis.dim), basis.gamma5))
     if parity is Parity.EVEN:
         return even
     if parity is Parity.ODD:
@@ -418,7 +424,7 @@ def so_spinor_rep(basis: GammaBasis) -> QuantumRep:
     gens = {}
     for a in range(1, basis.d + 1):
         for b in range(a + 1, basis.d + 1):
-            gens[(a, b)] = (basis.gamma(a) @ basis.gamma(b)).scale(half_i)
+            gens[(a, b)] = antisym_product(basis, (a, b)).scale(half_i)
     return QuantumRep(basis.d, basis.dim, gens)
 
 
@@ -432,6 +438,6 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
     half_i = ExactScalar(0, Fraction(1, 2))  # 2 * i/4
     for a in range(1, basis.d + 1):
         for b in range(a + 1, basis.d + 1):
-            gab = (basis.gamma(a) @ basis.gamma(b)).scale(half_i)
+            gab = antisym_product(basis, (a, b)).scale(half_i)
             out = out + kron(gab, q.gen(a, b))
     return out

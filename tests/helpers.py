@@ -138,6 +138,29 @@ def fundamental_L0_loop(basis, u):
     return out
 
 
+def dressed_spinor_R(basis, table, rep, parity):
+    """The spinorial R-matrix with the chirality dressing applied to the
+    summed odd part: sum_even R_k T_k + (sum_odd R_k T_k)(gamma5 (x) 1) for
+    the primed rep and -(sum_odd R_k T_k)(1 (x) gamma5) for the double-primed
+    one.  The reference for ``rmatrix.assemble_spinor_R``, which sums
+    s_k R_k S_k over the As-components for the primed rep instead."""
+    from ybverify.rmatrix import Parity, RepChoice
+
+    ident = SparseOperator.identity(basis.dim)
+    even = odd = SparseOperator.zero(basis.dim ** 2)
+    for k in range(basis.d + 1):
+        term = basis.pair_contraction(k).scale(table[k])
+        if k % 2:
+            odd = odd + term
+        else:
+            even = even + term
+    if rep is RepChoice.PRIMED:
+        odd = odd @ kron(basis.gamma5, ident)
+    elif rep is RepChoice.DOUBLE_PRIMED:
+        odd = -(odd @ kron(ident, basis.gamma5))
+    return {Parity.EVEN: even, Parity.ODD: odd, Parity.FULL: even + odd}[parity]
+
+
 def dense_mul(a, b):
     """Naive triple-loop product via the entry() accessor."""
     out = {}

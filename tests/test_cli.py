@@ -145,6 +145,58 @@ def test_bad_budget_in_suite_file_is_config_error(tmp_path, capsys):
     assert err.startswith("ybv: error: ") and "positive integer" in err
 
 
+def test_d_list_above_max_d_is_config_error(capsys):
+    code, out, err = run_cli(["run", "--all", "--d-list", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "2 <= d <= 8" in err
+
+
+@pytest.mark.parametrize("check", ["local_ybe", "integrand_symmetry"])
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_nonpositive_points_is_config_error(capsys, check, points):
+    code, out, err = run_cli(["check", check, "--d", "2", "--points", points], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "positive integer" in err
+
+
+def _run_suite(tmp_path, capsys, suite):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    return run_cli(["run", "--suite", str(path)], capsys)
+
+
+def test_nonpositive_points_in_suite_file_is_config_error(tmp_path, capsys):
+    code, out, err = _run_suite(tmp_path, capsys,
+                                [{"check": "local_ybe", "params": {"d": 2, "points": 0}}])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "positive integer" in err
+
+
+def test_suite_file_rejects_params_no_check_option_has(tmp_path, capsys):
+    # generating_product reads its point from u and v; an x would be ignored
+    suite = [{"check": "generating_product", "params": {"d": 2, "x": "1/5", "y": "1/7"}}]
+    code, out, err = _run_suite(tmp_path, capsys, suite)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "unknown params x" in err
+    suite[0]["params"] = {"d": 2, "u": "1/5", "v": "1/7"}
+    code, out, _ = _run_suite(tmp_path, capsys, suite)
+    assert code == 0
+    assert json.loads(out)["params"] == {"d": 2, "x": "1/5", "y": "1/7"}
+
+
+def test_suite_file_y_parses_as_float(tmp_path, capsys):
+    suite = [{"check": "rfun", "params": {"d": 2, "u": "1", "y": "-1"}}]
+    code, out, _ = _run_suite(tmp_path, capsys, suite)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "pass"
+    assert payload["params"]["y"] == -1.0 and payload["params"]["u"] == 1.0
+
+
 def test_pole_in_suite_job_is_a_fail(tmp_path, capsys):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps([{"check": "ybe",

@@ -6,13 +6,13 @@ import pytest
 
 from helpers import dense_local_ybe_sides
 from ybverify import localyb as lyb
-from ybverify.clifford import build_gamma, graded_rep
+from ybverify.clifford import build_gamma
 from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, all_regions,
                               check_local_ybe, classify_region, companion_point,
                               forward_map, integrand_symmetry_check, invariants,
                               inverse_map, jacobian, jacobian_fd, sample_triple,
                               solve_primed)
-from ybverify.relations import Status, _graded
+from ybverify.relations import Status, _basis
 
 F = Fraction
 
@@ -219,27 +219,27 @@ def test_jacobian_matches_finite_differences():
 # --- local Yang-Baxter -------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def rep2():
-    return {d: graded_rep(build_gamma(d)) for d in (2, 4)}
+def bases():
+    return {d: build_gamma(d) for d in (2, 4)}
 
 
-def test_local_ybe_specific_point(rep2):
-    report = check_local_ybe(rep2[2], triple(3, 1, 2), tol=1e-9)
+def test_local_ybe_specific_point(bases):
+    report = check_local_ybe(bases[2], triple(3, 1, 2), tol=1e-9)
     assert report.passed, report.max_residual
 
 
-def test_local_ybe_fixed_point_machine_precision(rep2):
-    report = check_local_ybe(rep2[2], triple(2, 1, 1), tol=1e-12)
+def test_local_ybe_fixed_point_machine_precision(bases):
+    report = check_local_ybe(bases[2], triple(2, 1, 1), tol=1e-12)
     assert report.passed
 
 
-def test_local_ybe_randomized(rep2):
+def test_local_ybe_randomized(bases):
     for d in (2, 4):
         rng = random.Random(lyb.DEFAULT_SEED)
         for region in all_regions():
             for _ in range(25):
                 p = sample_triple(rng, region)
-                report = check_local_ybe(rep2[d], p, tol=1e-9)
+                report = check_local_ybe(bases[d], p, tol=1e-9)
                 assert report.passed, (d, p, report.max_residual)
 
 
@@ -253,18 +253,18 @@ def _sample_points(per_region):
                                        (6, _sample_points(1)[:1])],
                          ids=["d2", "d4", "d6"])
 def test_local_ybe_sides_match_dense_three_copy(d, points):
-    rep2 = _graded(d)
+    basis = _basis(d)
     for p in points:
         q = solve_primed(p)
-        for new, ref in zip(lyb.local_ybe_sides(rep2, p, q),
-                            dense_local_ybe_sides(rep2.basis, p, q)):
+        for new, ref in zip(lyb.local_ybe_sides(basis, p, q),
+                            dense_local_ybe_sides(basis, p, q)):
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(new - ref)) <= 1e-12 * scale, (d, p)
 
 
-def _assert_every_point_fails(rep, d):
+def _assert_every_point_fails(basis, d):
     for p in _sample_points(1):
-        report = check_local_ybe(rep, p, tol=1e-9)
+        report = check_local_ybe(basis, p, tol=1e-9)
         assert report.status is Status.FAIL, (d, p)
         # a million times the tolerance: a planted defect, not rounding
         assert report.max_residual > 1e-3, (d, p, report.max_residual)
@@ -279,7 +279,7 @@ def test_local_ybe_fails_with_swapped_primed_point(monkeypatch, d):
         return TripleXYZ(q.y, q.x, q.z)
 
     monkeypatch.setattr(lyb, "solve_primed", swapped)
-    _assert_every_point_fails(_graded(d), d)
+    _assert_every_point_fails(_basis(d), d)
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -288,14 +288,14 @@ def test_local_ybe_fails_with_sign_flipped_component(monkeypatch, d):
     # holds at (-x, -y, -z) too, so that would be no defect
     components = lyb.as_exp_components
 
-    def flipped(rep):
-        comps = list(components(rep))
+    def flipped(basis):
+        comps = list(components(basis))
         comps[2] = -comps[2]
         return tuple(comps)
 
     monkeypatch.setattr(lyb, "as_exp_components", flipped)
-    # a fresh rep: the shared one may already hold the unflipped dense stack
-    _assert_every_point_fails(graded_rep(build_gamma(d)), d)
+    # a fresh basis: the shared one may already have its unflipped dense stack
+    _assert_every_point_fails(build_gamma(d), d)
 
 
 def test_integrand_symmetry_measure_only():

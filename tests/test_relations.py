@@ -267,7 +267,7 @@ def test_yb_sides_braid_equals_brute_three_copy(d):
     # P12 = P (x) 1 and P23 = 1 (x) P: the two-copy braid sides equal the
     # products of the oracle's three-copy As-exponentials at t = 1 and -1
     gens = brute_graded_generators(rel._basis(d), 3)
-    for E, t in zip(clifford.exchange_pair(rel._graded(d)), (1, -1)):
+    for E, t in zip(clifford.exchange_pair(rel._basis(d)), (1, -1)):
         e12 = brute_as_exponential(gens, 1, 2, t)
         e23 = brute_as_exponential(gens, 2, 3, t)
         n = rel._basis(d).dim
@@ -294,7 +294,7 @@ def test_yb_stream_matches_kron_chain_on_relation_operands(kind, d):
     elif kind == "fundamental":
         a, b, c, n = fundamental_R0(d, U - V), fundamental_R0(d, U), fundamental_R0(d, V), d
     else:
-        a = b = c = clifford.exchange_pair(rel._graded(d))[kind == "Pp"]
+        a = b = c = clifford.exchange_pair(rel._basis(d))[kind == "Pp"]
         n = rel._basis(d).dim
     lhs, rhs = yb_sides(a, b, c, n)
     assert yb_difference(a, b, c, n) == lhs - rhs
@@ -313,19 +313,20 @@ def test_ybe_d8_perturbed_fails_like_kron_chain(k):
 @pytest.fixture
 def flipped_s2(monkeypatch):
     # S_2, not S_1: flipping S_1 at d = 2 maps E(t) to E(-t), and the
-    # product law E(x) E(y) = (1-xy)^d E((x+y)/(1-xy)) survives t -> -t
+    # product law E(x) E(y) = (1-xy)^d E((x+y)/(1-xy)) survives t -> -t.
+    # The primed R-matrix is sum_k s_k R_k S_k, so the flip reaches it too
     components = clifford.as_exp_components
 
-    def flipped(rep):
-        comps = list(components(rep))
+    def flipped(basis):
+        comps = list(components(basis))
         comps[2] = -comps[2]
         return tuple(comps)
 
-    monkeypatch.setattr(clifford, "as_exp_components", flipped)
-    monkeypatch.setattr(rel, "as_exp_components", flipped)
-    rel._graded.cache_clear()
+    for module in (clifford, rel, rmatrix):
+        monkeypatch.setattr(module, "as_exp_components", flipped)
+    rel._basis.cache_clear()
     yield
-    rel._graded.cache_clear()
+    rel._basis.cache_clear()
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -336,6 +337,42 @@ def test_exchange_identities_fail_with_sign_flipped_component(flipped_s2, d):
 @pytest.mark.parametrize("d", [2, 4])
 def test_generating_product_fails_with_sign_flipped_component(flipped_s2, d):
     _fails_at(rel.check_generating_product(d, U, V), "product law")
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_primed_ybe_fails_with_sign_flipped_component(flipped_s2, d):
+    _fails_at(rel.check_ybe(d, U, V, rep=RepChoice.PRIMED), "YBE")
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_primed_rll_fails_with_sign_flipped_component(flipped_s2, d):
+    _fails_at(rel.check_rll_fundamental(d, Fraction(1), U, rep=RepChoice.PRIMED), "RLL")
+
+
+@pytest.fixture
+def planted_entry(monkeypatch):
+    # one extra entry (0,1) in every R-matrix part a check receives
+    spinor_R = rel._spinor_R
+
+    def planted(d, *args, **kwargs):
+        R = spinor_R(d, *args, **kwargs)
+        return R + SparseOperator.from_entries(R.dim, {(0, 1): 1})
+
+    monkeypatch.setattr(rel, "_spinor_R", planted)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_symmetries_fail_with_planted_entry(planted_entry, d):
+    report = rel.check_symmetries(d, Fraction(1))
+    _fails_at(report, "so generator (1,2) on even part")
+    assert report.detail.endswith("at entry (0,1)"), report.detail
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_unitarity_fails_with_planted_entry(planted_entry, d):
+    report = rel.check_unitarity(d, V)
+    _fails_at(report, "even unitarity")
+    assert report.detail.endswith("at entry (0,1)"), report.detail
 
 
 def test_generating_product_check():

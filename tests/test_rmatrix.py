@@ -13,7 +13,7 @@ from ybverify.rmatrix import (Normalization, Parity,
                               projectors, quantum_L, so_defining_rep,
                               so_spinor_rep, weyl_projectors)
 
-from helpers import fundamental_L0_loop
+from helpers import dressed_spinor_R, fundamental_L0_loop
 
 U_SAMPLES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2),
              Fraction(-1, 5), Fraction(-3, 7)]
@@ -21,7 +21,7 @@ U_SAMPLES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2),
 
 @pytest.fixture(scope="module")
 def bases():
-    return {d: build_gamma(d) for d in (2, 4, 6)}
+    return {d: build_gamma(d) for d in (2, 4, 6, 8)}
 
 
 # --- coefficient tables ------------------------------------------------------
@@ -163,6 +163,18 @@ def test_assemble_parity_split(bases):
         even = assemble_spinor_R(basis, table, rep, Parity.EVEN)
         odd = assemble_spinor_R(basis, table, rep, Parity.ODD)
         assert even + odd == full
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_assemble_matches_dressed_oracle(bases, d):
+    # the primed rep sums s_k R_k S_k; the oracle dresses the summed odd part
+    # (at u = 0 the even product-form coefficients vanish)
+    for u in (Fraction(1, 2), Fraction(-3, 7), Fraction(2), Fraction(0)):
+        table = coefficients(d, u, Normalization.PRODUCT_FORM)
+        for rep in RepChoice:
+            for parity in Parity:
+                want = dressed_spinor_R(bases[d], table, rep, parity)
+                assert assemble_spinor_R(bases[d], table, rep, parity) == want, (u, rep, parity)
 
 
 def test_rep_dressing_relation(bases):
