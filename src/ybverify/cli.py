@@ -17,18 +17,14 @@ import sys
 from fractions import Fraction
 
 from . import relations
-from .clifford import DEFAULT_MAX_D, build_gamma
+from .clifford import build_gamma
 from .kernel import SparseOperator
 from .relations import DEFAULT_SEED, DEFAULT_SPECTRAL_POINTS, CheckReport, Status
-from .rmatrix import (Normalization, RepChoice, coefficients,
+from .rmatrix import (Normalization, PoleError, RepChoice, coefficients,
                       so_defining_rep, so_spinor_rep)
 
 _NORMS = {n.value: n for n in Normalization}
 _REPS = {r.value: r for r in RepChoice}
-# option keys of ``check`` that only it has; a suite file's params take these
-# and the common ones
-_CHECK_KEYS = ("signs", "quantum", "k", "parity", "points", "y", "perturb_k")
-_PARAM_KEYS = {"d", "u", "v", "norm", "rep", "tol", "seed", "budget_dim", *_CHECK_KEYS}
 
 
 def _frac(text: str) -> Fraction:
@@ -38,43 +34,27 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _points(value) -> int:
-    """Validate a sample count: with 0 points a float check reports no line,
-    which reads as a PASS."""
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ValueError(f"points must be a positive integer, got {value!r}")
-    return value
-
-
 def _quantum_rep(name: str, d: int):
-    if name == "defining":
-        return so_defining_rep(d)
-    if name == "spinor":
-        return so_spinor_rep(relations._basis(d))
-    raise ValueError(f"unknown quantum representation {name!r}")
+    return so_spinor_rep(relations._basis(d)) if name == "spinor" else so_defining_rep(d)
 
 
 # ---------------------------------------------------------------------------
-# check registry: id -> callable(args-namespace-like dict) -> [CheckReport]
+# check registry: the parsed options of one ``check`` command line -> reports
 # ---------------------------------------------------------------------------
 
-def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
-    d = opts.get("d", 4)
-    u = opts.get("u", Fraction(1, 2))
-    v = opts.get("v", Fraction(1, 3))
-    norm = opts.get("norm", Normalization.PRODUCT_FORM)
-    rep = opts.get("rep", RepChoice.PRIMED)
-    budget = opts.get("budget_dim")
-    seed = opts.get("seed", DEFAULT_SEED)
-    tol = opts.get("tol")
+def _run_named_check(args) -> list[CheckReport]:
+    check_id, d, u, v, seed, tol = args.id, args.d, args.u, args.v, args.seed, args.tol
+    norm, rep = _NORMS[args.norm], _REPS[args.rep]
+    budget = relations.budget_dim(args.budget_dim)
+    if args.points <= 0:
+        # with 0 points a float check reports no line, which reads as a PASS
+        raise ValueError(f"points must be a positive integer, got {args.points}")
 
     if check_id == "ybe":
-        return [relations.check_ybe(d, u, v, norm, rep, budget,
-                                    perturb_k=opts.get("perturb_k"))]
+        return [relations.check_ybe(d, u, v, norm, rep, budget, perturb_k=args.perturb_k)]
     if check_id == "three_term":
-        signs = opts.get("signs")
-        if signs:
-            return [relations.check_three_term(d, u, v, signs, norm, rep, budget)]
+        if args.signs:
+            return [relations.check_three_term(d, u, v, args.signs, norm, rep, budget)]
         return [relations.check_three_term(d, u, v, (a, b, c), norm, rep, budget)
                 for a in "+-" for b in "+-" for c in "+-"]
     if check_id == "fundamental_ybe":
@@ -82,12 +62,10 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
     if check_id == "rll_fundamental":
         return [relations.check_rll_fundamental(d, u, v, norm, rep, budget)]
     if check_id == "rll_quantum":
-        name = opts.get("quantum", "defining")
-        q = _quantum_rep(name, d)
-        return [relations.check_rll_quantum(d, u, v, q, name, norm, rep, budget)]
+        q = _quantum_rep(args.quantum, d)
+        return [relations.check_rll_quantum(d, u, v, q, args.quantum, norm, rep, budget)]
     if check_id == "asym":
-        name = opts.get("quantum", "defining")
-        return [relations.check_asym(_quantum_rep(name, d), name)]
+        return [relations.check_asym(_quantum_rep(args.quantum, d), args.quantum)]
     if check_id == "unitarity":
         return [relations.check_unitarity(d, u, norm)]
     if check_id == "symmetries":
@@ -99,22 +77,18 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
     if check_id == "exchange_identities":
         return [relations.check_exchange_identities(d, budget)]
     if check_id == "generating_product":
-        x = opts.get("u", Fraction(1, 2))
-        y = opts.get("v", Fraction(1, 3))
-        return [relations.check_generating_product(d, x, y)]
+        return [relations.check_generating_product(d, u, v)]
     if check_id == "local_ybe":
-        n3 = 2 ** (3 * d // 2)
-        cap = relations.budget_dim(budget)
-        if n3 >= cap:
-            return [relations._skip("local_ybe", {"d": d, "seed": seed}, n3, cap,
-                                    exact=False)]
+        basis = relations._basis(d)
+        if basis.dim ** 3 >= budget:
+            return [relations._skip("local_ybe", {"d": d, "seed": seed}, basis.dim ** 3,
+                                    budget, exact=False)]
         from . import localyb
 
         rng = random.Random(seed)
-        basis = relations._basis(d)
         out = []
         for region in localyb.all_regions():
-            for _ in range(opts.get("points", 5)):
+            for _ in range(args.points):
                 p = localyb.sample_triple(rng, region)
                 report = localyb.check_local_ybe(basis, p, tol or 1e-9)
                 report.params["seed"] = seed
@@ -126,7 +100,7 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
         rng = random.Random(seed)
         out = []
         for region in localyb.all_regions():
-            for _ in range(opts.get("points", 5)):
+            for _ in range(args.points):
                 p = localyb.sample_triple(rng, region)
                 report = localyb.integrand_symmetry_check(
                     d, float(u), float(v), 1.0, 2.0, 3.0, p, tol or 1e-8)
@@ -139,15 +113,12 @@ def _run_named_check(check_id: str, opts: dict) -> list[CheckReport]:
     from . import quadrature
 
     if check_id == "beta_integral":
-        parity = opts.get("parity", "even")
-        return [quadrature.check_beta_integral(d, float(u), opts.get("k", 0), parity,
+        return [quadrature.check_beta_integral(d, float(u), args.k, args.parity,
                                                rel_tol=tol or 1e-8)]
     if check_id == "rfun":
-        y = opts.get("y", -1.0)
-        return [quadrature.check_rfun(d, float(u), y, rel_tol=tol or 1e-7)]
+        return [quadrature.check_rfun(d, float(u), args.y, rel_tol=tol or 1e-7)]
     if check_id == "unitarity_integral":
-        return [quadrature.check_unitarity_integral(d, float(u), opts.get("k", 0),
-                                                    tol=tol)]
+        return [quadrature.check_unitarity_integral(d, float(u), args.k, tol=tol)]
     if check_id == "triple_integral":
         return [quadrature.check_triple_integral(d, float(u), float(v), 0.3, 0.1, 0.7,
                                                  rel_tol=tol or 1e-3)]
@@ -193,12 +164,35 @@ def default_suite(d_list) -> list[tuple[str, dict]]:
     return jobs
 
 
-def _execute(job):
-    check_id, opts = job
+def _parse_jobs(jobs, base) -> list:
+    """Parse each suite job (check id, params) as ``ybv check`` parses the
+    command line ``id --key=value ...``, starting from a copy of the ``run``
+    options ``base``: an option the job does not set keeps the value ``run``
+    gave.  Returns (parsed options, params) pairs."""
+    parser = argparse.ArgumentParser(prog="ybv check", add_help=False,
+                                     allow_abbrev=False, exit_on_error=False)
+    _add_job_options(parser, check=True)
+    keys = {option[2:].replace("-", "_") for option in parser._option_string_actions}
+    parsed = []
+    for check_id, params in jobs:
+        unknown = sorted(set(params) - keys)
+        if unknown:
+            raise ValueError(f"{check_id}: unknown params {', '.join(unknown)}")
+        argv = [str(check_id), *(f"--{key.replace('_', '-')}={value}"
+                                 for key, value in params.items())]
+        try:
+            args = parser.parse_args(argv, argparse.Namespace(**vars(base)))
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{check_id}: {exc}") from exc
+        parsed.append((args, params))
+    return parsed
+
+
+def _execute(args, params):
     try:
-        return _run_named_check(check_id, opts)
-    except (ValueError, ArithmeticError) as exc:  # pole or domain error in one job
-        return [CheckReport(check_id, {k: str(v) for k, v in opts.items()},
+        return _run_named_check(args)
+    except (PoleError, ArithmeticError) as exc:  # the job's point is a pole or non-finite
+        return [CheckReport(args.id, {k: str(v) for k, v in params.items()},
                             Status.FAIL, detail=f"error: {exc}")]
 
 
@@ -223,31 +217,12 @@ def _emit(reports, args) -> int:
 def _suite_from_file(path) -> list[tuple[str, dict]]:
     with open(path) as fh:
         data = json.load(fh)
-    jobs = []
-    for item in data:
-        check_id = item["check"]
-        if check_id not in CHECK_IDS:
-            raise KeyError(check_id)
-        opts = dict(item.get("params", {}))
-        unknown = sorted(set(opts) - _PARAM_KEYS)
-        if unknown:
-            raise ValueError(f"{check_id}: unknown params {', '.join(unknown)}")
-        # parsed as the check options --u, --v and --y are
-        for key in ("u", "v"):
-            if key in opts:
-                opts[key] = _frac(str(opts[key]))
-        if "y" in opts:
-            opts["y"] = float(opts["y"])
-        if "points" in opts:
-            opts["points"] = _points(opts["points"])
-        if "norm" in opts:
-            opts["norm"] = _NORMS[opts["norm"]]
-        if "rep" in opts:
-            opts["rep"] = _REPS[opts["rep"]]
-        if "budget_dim" in opts:
-            opts["budget_dim"] = relations.budget_dim(opts["budget_dim"])
-        jobs.append((check_id, opts))
-    return jobs
+    if not isinstance(data, list) or not all(
+            isinstance(item, dict) and isinstance(item.get("params", {}), dict)
+            for item in data):
+        raise ValueError(f"{path}: a suite file is a list of "
+                         '{"check": id, "params": {...}} objects')
+    return [(item["check"], item.get("params", {})) for item in data]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +286,9 @@ def _dump(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser):
+def _add_job_options(parser, check=False):
+    """The options of a check job.  ``run`` takes the common ones, whose
+    values its jobs inherit; ``check`` and each suite job take them all."""
     parser.add_argument("--d", type=int, default=4, help="even dimension")
     parser.add_argument("--u", type=_frac, default=Fraction(1, 2),
                         help="spectral point, rational like 1/2")
@@ -323,9 +300,19 @@ def _add_common(parser):
     parser.add_argument("--budget-dim", type=int, default=None,
                         help="skip exact checks and local_ybe at or above this "
                              "dimension (default 4096; env YBV_BUDGET_DIM)")
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--timings", action="store_true",
-                        help="emit wall-clock elapsed_ms in the JSON stream")
+    if not check:
+        return
+    parser.add_argument("id", choices=CHECK_IDS)
+    parser.add_argument("--signs", default=None,
+                        help="three of +/- for the three-term family")
+    parser.add_argument("--quantum", choices=("defining", "spinor"),
+                        default="defining")
+    parser.add_argument("--k", type=int, default=0)
+    parser.add_argument("--parity", choices=("even", "odd"), default="even")
+    parser.add_argument("--points", type=int, default=5)
+    parser.add_argument("--y", type=float, default=-1.0)
+    parser.add_argument("--perturb-k", type=int, default=None,
+                        help="corrupt R_k by 1 (negative control)")
 
 
 def build_parser():
@@ -339,21 +326,12 @@ def build_parser():
     group.add_argument("--suite", help="JSON suite file")
     runp.add_argument("--d-list", default="2,4",
                       help="comma-separated d values for the default suite")
-    _add_common(runp)
-
     checkp = sub.add_parser("check", help="run one named check")
-    checkp.add_argument("id", choices=CHECK_IDS)
-    _add_common(checkp)
-    checkp.add_argument("--signs", default=None,
-                        help="three of +/- for the three-term family")
-    checkp.add_argument("--quantum", choices=("defining", "spinor"),
-                        default="defining")
-    checkp.add_argument("--k", type=int, default=0)
-    checkp.add_argument("--parity", choices=("even", "odd"), default="even")
-    checkp.add_argument("--points", type=int, default=5)
-    checkp.add_argument("--y", type=float, default=-1.0)
-    checkp.add_argument("--perturb-k", type=int, default=None,
-                        help="corrupt R_k by 1 (negative control)")
+    for subparser, check in ((runp, False), (checkp, True)):
+        _add_job_options(subparser, check)
+        subparser.add_argument("--format", choices=("json", "table"), default="json")
+        subparser.add_argument("--timings", action="store_true",
+                               help="emit wall-clock elapsed_ms in the JSON stream")
 
     dumpp = sub.add_parser("dump", help="dump a constructed object as JSON")
     dumpp.add_argument("object", choices=("gamma", "coeffs", "rmatrix",
@@ -365,22 +343,6 @@ def build_parser():
     return parser
 
 
-def _opts_from_args(args) -> dict:
-    opts = {
-        "d": args.d, "u": args.u, "v": args.v,
-        "norm": _NORMS[args.norm], "rep": _REPS[args.rep],
-        # resolved and validated once, before any job runs
-        "budget_dim": relations.budget_dim(args.budget_dim),
-        "seed": args.seed, "tol": args.tol,
-    }
-    for key in _CHECK_KEYS:
-        if hasattr(args, key):
-            opts[key] = getattr(args, key)
-    if "points" in opts:
-        opts["points"] = _points(opts["points"])
-    return opts
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -388,27 +350,18 @@ def main(argv=None) -> int:
         if args.command == "dump":
             return _dump(args)
         if args.command == "check":
-            reports = _run_named_check(args.id, _opts_from_args(args))
-            failed = _emit(reports, args)
-            return 1 if failed else 0
-        # run
-        if args.suite:
-            jobs = _suite_from_file(args.suite)
+            reports = _run_named_check(args)
         else:
-            d_list = [int(x) for x in args.d_list.split(",") if x]
-            if any(d % 2 or not 2 <= d <= DEFAULT_MAX_D for d in d_list):
-                raise ValueError(f"d values must be even with 2 <= d <= "
-                                 f"{DEFAULT_MAX_D}: {d_list}")
-            jobs = default_suite(d_list)
-        base = _opts_from_args(args)
-        merged = [(cid, {**base, **opts}) for cid, opts in jobs]
-        reports = [rep for job in merged for rep in _execute(job)]
-        # the stream is ordered by check id and params, not by job order
-        reports.sort(key=lambda r: (r.check_id,
-                                    json.dumps(r.params, sort_keys=True, default=str)))
-        failed = _emit(reports, args)
-        return 1 if failed else 0
-    except (KeyError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+            if args.suite:
+                jobs = _suite_from_file(args.suite)
+            else:
+                jobs = default_suite([int(x) for x in args.d_list.split(",") if x])
+            reports = [rep for job in _parse_jobs(jobs, args) for rep in _execute(*job)]
+            # the stream is ordered by check id and params, not by job order
+            reports.sort(key=lambda r: (r.check_id,
+                                        json.dumps(r.params, sort_keys=True, default=str)))
+        return 1 if _emit(reports, args) else 0
+    except (KeyError, ValueError, OSError) as exc:
         print(f"ybv: error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,7 +154,7 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "norm": _fmt(norm), "rep": _fmt(rep)}
     if perturb_k is not None:
         params["perturb_k"] = perturb_k
-    n = 2 ** (d // 2)
+    n = _basis(d).dim
     cap = budget_dim(budget)
     if n ** 3 >= cap:
         return _skip("ybe", params, n ** 3, cap)
@@ -178,7 +178,7 @@ def check_three_term(d, u, v, signs, norm=Normalization.PRODUCT_FORM,
         raise ValueError(f"signs must be three of '+'/'-', got {signs!r}")
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "signs": "".join(signs),
               "norm": _fmt(norm), "rep": _fmt(rep)}
-    n = 2 ** (d // 2)
+    n = _basis(d).dim
     cap = budget_dim(budget)
     if n ** 3 >= cap:
         return _skip("three_term", params, n ** 3, cap)
@@ -222,12 +222,12 @@ def _check_rll(check_id, params, d, u, v, L, m, norm, rep, budget) -> CheckRepor
     """R12(u-v) L13(u) L23(v) = L13(v) L23(u) R12(u-v) on (spinor, spinor,
     quantum), where ``L(basis, x)`` builds the L-operator on
     (spinor (x) quantum) and m is the quantum dimension."""
-    n = 2 ** (d // 2)
+    basis = _basis(d)
+    n = basis.dim
     dims = [n, n, m]
     cap = budget_dim(budget)
     if n * n * m >= cap:
         return _skip(check_id, params, n * n * m, cap)
-    basis = _basis(d)
     with _Timer() as t:
         R12 = embed_pair(_spinor_R(d, u - v, norm, rep), (0, 1), dims)
         Lu, Lv = L(basis, u), L(basis, v)
@@ -457,12 +457,11 @@ def check_exchange_identities(d, budget=None) -> CheckReport:
     the braid relations P12 P23 P12 = P23 P12 P23 (and for P') with
     P12 = P (x) 1 and P23 = 1 (x) P."""
     params = {"d": d}
-    n3 = 2 ** (3 * d // 2)
+    basis = _basis(d)
     cap = budget_dim(budget)
-    if n3 >= cap:
-        return _skip("exchange_identities", params, n3, cap)
+    if basis.dim ** 3 >= cap:
+        return _skip("exchange_identities", params, basis.dim ** 3, cap)
     with _Timer() as t:
-        basis = _basis(d)
         P, Pp = exchange_pair(basis)
         comps = as_exp_components(basis)
         ident2 = SparseOperator.identity(basis.dim ** 2)

@@ -206,6 +206,96 @@ def test_pole_in_suite_job_is_a_fail(tmp_path, capsys):
     payload = json.loads(out.strip())
     assert payload["status"] == "fail"
     assert payload["detail"].startswith("error: ")
+    # the job's own params, not every run option
+    assert payload["params"] == {"d": "4", "norm": "unit", "u": "-2"}
+
+
+@pytest.mark.parametrize("check,params", [
+    ("ybe", {"d": 3}),
+    ("rll_quantum", {"d": 2, "quantum": "bogus"}),
+    ("three_term", {"d": 2, "signs": "++"}),
+    ("beta_integral", {"d": 2, "parity": "weird"}),
+    ("local_ybe", {"d": 2, "seed": "abc"}),
+    ("generating_product", {"d": 2, "u": "2", "v": "1/2"}),  # xy = 1
+])
+def test_suite_file_bad_option_is_config_error(tmp_path, capsys, check, params):
+    code, out, err = _run_suite(tmp_path, capsys, [{"check": check, "params": params}])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ")
+
+
+@pytest.mark.parametrize("suite", [{"check": "ybe"}, [1], [{"check": "ybe", "params": []}]])
+def test_suite_file_that_is_no_list_of_jobs_is_config_error(tmp_path, capsys, suite):
+    code, out, err = _run_suite(tmp_path, capsys, suite)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "a suite file is a list of" in err
+
+
+@pytest.mark.parametrize("key", ["format", "timings"])
+def test_suite_file_output_options_are_unknown_params(tmp_path, capsys, key):
+    suite = [{"check": "ybe", "params": {"d": 2, key: "json"}}]
+    code, out, err = _run_suite(tmp_path, capsys, suite)
+    assert code == 2
+    assert out == ""
+    assert f"unknown params {key}" in err
+
+
+# one job per check id (triple_integral is slow) with options away from their
+# defaults; the string values parse as the command line parses them
+SAME_AS_CHECK = [
+    ("ybe", {"d": "4", "u": "2/3", "v": "1/5", "perturb_k": "1"}),
+    ("ybe", {"d": 2, "norm": "unit", "rep": "naive"}),
+    ("three_term", {"d": 4, "signs": "+-+", "rep": "doubleprimed"}),
+    ("fundamental_ybe", {"d": 4, "u": "1/3", "v": "2"}),
+    ("rll_fundamental", {"d": 2, "norm": "unit", "rep": "naive"}),
+    ("rll_quantum", {"d": 4, "quantum": "spinor"}),
+    ("asym", {"d": 4, "quantum": "spinor"}),
+    ("unitarity", {"d": 2, "u": "1/3", "norm": "beta"}),
+    ("symmetries", {"d": 2, "u": "3", "rep": "naive"}),
+    ("epsilon_projector_limit", {"d": 4}),
+    ("d6_reduction", {"u": "2"}),
+    ("exchange_identities", {"d": 2}),
+    ("generating_product", {"d": 2, "u": "1/5", "v": "1/7"}),
+    ("local_ybe", {"d": 2, "points": 1, "seed": 7, "tol": 1e-6}),
+    ("integrand_symmetry", {"d": 2, "points": 1, "seed": 7}),
+    ("beta_integral", {"d": 4, "u": "1", "k": "1", "parity": "odd", "tol": "1e-3"}),
+    ("rfun", {"d": 2, "u": "1", "y": -0.5}),
+    ("unitarity_integral", {"d": 2, "k": 1}),
+]
+
+
+@pytest.mark.parametrize("check,params", SAME_AS_CHECK)
+def test_suite_job_prints_what_check_prints(tmp_path, capsys, check, params):
+    argv = ["check", check]
+    for key, value in params.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    code, out, _ = run_cli(argv, capsys)
+    assert out
+    # the suite sorts the lines of a job that reports several
+    want = code, sorted(out.splitlines())
+    code, out, _ = _run_suite(tmp_path, capsys, [{"check": check, "params": params}])
+    assert (code, sorted(out.splitlines())) == want
+
+
+@pytest.mark.parametrize("check", ["ybe", "rll_fundamental"])
+def test_d_above_max_d_is_config_error_not_a_skip(capsys, monkeypatch, check):
+    monkeypatch.delenv("YBV_BUDGET_DIM", raising=False)
+    code, out, err = run_cli(["check", check, "--d", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "2 <= d <= 8" in err
+
+
+def test_d_above_max_d_runs_where_no_basis_is_built(capsys, monkeypatch):
+    monkeypatch.delenv("YBV_BUDGET_DIM", raising=False)
+    code, out, _ = run_cli(["check", "fundamental_ybe", "--d", "10"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    code, out, _ = run_cli(["check", "ybe", "--d", "8"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "skipped"
 
 
 def test_local_ybe_respects_budget(capsys, monkeypatch):
@@ -226,22 +316,28 @@ def test_program_bug_is_not_a_verdict(monkeypatch):
         main(["run", "--all", "--d-list", "2"])
 
 
-def test_exact_commands_load_neither_numpy_nor_scipy():
+def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
     # nor a process pool: the suite runs its jobs in one process
     heavy = "{'numpy', 'scipy', 'concurrent.futures.process'}"
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"check": "ybe", "params": {"d": 2}},
+                                 {"check": "asym", "params": {"d": 4}},
+                                 {"check": "d6_reduction", "params": {"u": "1"}}]))
     script = ("import sys\n"
               "import ybverify.cli\n"
               f"after_import = sorted({heavy} & set(sys.modules))\n"
               "code = ybverify.cli.main(['check', 'ybe', '--d', '4'])\n"
               f"after_check = sorted({heavy} & set(sys.modules))\n"
-              "print(after_import, after_check, code, file=sys.stderr)\n")
+              f"code += ybverify.cli.main(['run', '--suite', {str(suite)!r}])\n"
+              f"after_suite = sorted({heavy} & set(sys.modules))\n"
+              "print(after_import, after_check, after_suite, code, file=sys.stderr)\n")
     src = str(Path(ybverify.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "[] [] 0"
+    assert proc.stderr.splitlines()[-1] == "[] [] [] 0"
 
 
 RECORDED_SUITE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "suite_d246.jsonl"

@@ -393,3 +393,51 @@ def test_report_json_shape():
     assert json.loads(line) == payload
     stripped = report.to_json_dict(with_timing=False)
     assert stripped["elapsed_ms"] == 0
+
+
+@pytest.mark.parametrize("d,value", [(2, "1"), (4, "1/7"), (6, "1/13")])
+def test_fundamental_ybe_fails_with_planted_entry(monkeypatch, d, value):
+    def planted(d, u):
+        R = fundamental_R0(d, u)
+        return R + SparseOperator.from_entries(R.dim, {(0, 1): 1})
+
+    monkeypatch.setattr(rel, "fundamental_R0", planted)
+    report = rel.check_fundamental_ybe(d, U, V)
+    _fails_at(report, "fundamental YBE")
+    assert report.detail.endswith(f"first residual {value} at entry (0,0)"), report.detail
+
+
+@pytest.mark.parametrize("d,value", [(2, "-1"), (4, "-2"), (6, "-3")])
+def test_epsilon_projector_limit_fails_with_shifted_slope(monkeypatch, d, value):
+    slopes_at_zero = rmatrix.product_form_slope_at_zero
+
+    def shifted(d):
+        slopes = list(slopes_at_zero(d))
+        slopes[2] += 1
+        return slopes
+
+    monkeypatch.setattr(rel, "product_form_slope_at_zero", shifted)
+    report = rel.check_epsilon_projector_limit(d)
+    _fails_at(report, "limit")
+    assert report.detail.endswith(f"first residual {value} at entry (0,0)"), report.detail
+
+
+def test_d6_reduction_fails_with_perturbed_coefficient(monkeypatch):
+    coefficients = rmatrix.coefficients
+    monkeypatch.setattr(rel, "coefficients",
+                        lambda d, u, norm: coefficients(d, u, norm).perturbed(2))
+    report = rel.check_d6_reduction(Fraction(1))
+    _fails_at(report, "mixed block +-")
+    assert report.detail.endswith("first residual -1 at entry (0,0)"), report.detail
+
+
+# M_12 + 1, not 2 M_12: the defining rep with M_12 doubled still satisfies
+# the condition at d = 4 and 6
+@pytest.mark.parametrize("d", [4, 6])
+def test_asym_fails_with_shifted_generator(d):
+    q = so_defining_rep(d)
+    gens = {(a, b): q.gen(a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)}
+    gens[(1, 2)] = gens[(1, 2)] + SparseOperator.identity(d)
+    report = rel.check_asym(rmatrix.QuantumRep(d, d, gens), "defining")
+    assert report.status is rel.Status.FAIL
+    assert report.detail == "nonzero antisymmetrization for (a,b,c,d)=(1,2,3,4): 4*i at (2,3)"
