@@ -136,17 +136,17 @@ def _times_right(vec, xrows, n2, out):
     return out
 
 
-def yb_grid(arows, brows, crows, n, with_rhs=True):
-    """(a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a) on
-    V (x) V (x) V for grids a, b, c on V (x) V, dim V = n; without the rhs
-    when ``with_rhs`` is false.  Row-wise (Gustavson): row r = (i, j, k) of
-    the lhs starts from row i*n + j of a shifted by k, row r of the rhs from
-    row j*n + k of c shifted by i*n*n, and each factor is applied to the
-    sparse row vector by index arithmetic, so no n^3 x n^3 factor or
-    product is stored.  The result is over den(a) den(b) den(c)."""
+def yb_rows(arows, brows, crows, n, rows, with_rhs=True):
+    """Yield (r, row) for each index r in ``rows`` whose row of
+    (a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a) on
+    V (x) V (x) V is nonzero, for grids a, b, c on V (x) V, dim V = n;
+    without the rhs when ``with_rhs`` is false.  Row-wise (Gustavson): row
+    r = (i, j, k) of the lhs starts from row i*n + j of a shifted by k, row
+    r of the rhs from row j*n + k of c shifted by i*n*n, and each factor is
+    applied to the sparse row vector by index arithmetic, so no n^3 x n^3
+    factor or product is stored.  Rows are over den(a) den(b) den(c)."""
     n2 = n * n
-    rows = {}
-    for r in range(n2 * n):
+    for r in rows:
         ij, k = divmod(r, n)
         acc = {}
         arow = arows.get(ij)
@@ -162,8 +162,29 @@ def yb_grid(arows, brows, crows, n, with_rhs=True):
                 _times_right(_times_left(start, brows, n, {}), arows, n2, acc)
         row = {col: (v[0], v[1]) for col, v in acc.items() if v[0] or v[1]}
         if row:
-            rows[r] = row
-    return rows
+            yield r, row
+
+
+def commutes_monomial(rows, perm, phase):
+    """True iff the grid A commutes with the monomial matrix G with
+    G[perm[i], i] = phase[i] (Gaussian integers, none zero), i.e.
+    A[perm r, perm c] phase[c] = phase[r] A[r, c] for every (r, c).  Only
+    stored entries are visited: if each maps to a stored entry, the
+    position bijection maps the nonzero set onto itself, so every zero maps
+    to a zero.  One pass over nnz, in integers."""
+    for r, row in rows.items():
+        target = rows.get(perm[r], {})
+        pr, pi = phase[r]
+        for c, (vr, vi) in row.items():
+            t = target.get(perm[c])
+            if t is None:
+                return False
+            tr, ti = t
+            qr, qi = phase[c]
+            if (tr * qr - ti * qi != pr * vr - pi * vi
+                    or tr * qi + ti * qr != pr * vi + pi * vr):
+                return False
+    return True
 
 
 def content_gcd(rows, den):

@@ -122,7 +122,7 @@ def _run_named_check(args) -> list[CheckReport]:
     if check_id == "triple_integral":
         return [quadrature.check_triple_integral(d, float(u), float(v), 0.3, 0.1, 0.7,
                                                  rel_tol=tol or 1e-3)]
-    raise KeyError(check_id)
+    raise ValueError(f"unknown check {check_id!r}")
 
 
 CHECK_IDS = (
@@ -217,11 +217,14 @@ def _emit(reports, args) -> int:
 def _suite_from_file(path) -> list[tuple[str, dict]]:
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, list) or not all(
-            isinstance(item, dict) and isinstance(item.get("params", {}), dict)
-            for item in data):
-        raise ValueError(f"{path}: a suite file is a list of "
-                         '{"check": id, "params": {...}} objects')
+    shape = 'a suite file is a list of {"check": id, "params": {...}} objects'
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: {shape}")
+    for index, item in enumerate(data):
+        if not (isinstance(item, dict) and isinstance(item.get("params", {}), dict)):
+            raise ValueError(f"{path}: {shape}; item {index} is not")
+        if "check" not in item:
+            raise ValueError(f'{path}: item {index} has no "check" key')
     return [(item["check"], item.get("params", {})) for item in data]
 
 
@@ -247,7 +250,7 @@ def _dump(args) -> int:
             "gamma5": _matrix_json(basis.gamma5),
         }
     elif args.object == "coeffs":
-        table = coefficients(args.d, args.u, args.norm)
+        table = coefficients(args.d, args.u, _NORMS[args.norm])
         out = {
             "d": table.d,
             "u": str(table.u),
@@ -258,13 +261,13 @@ def _dump(args) -> int:
         from .rmatrix import Parity, assemble_spinor_R
 
         basis = build_gamma(args.d)
-        table = coefficients(args.d, args.u, args.norm)
-        op = assemble_spinor_R(basis, table, args.rep, Parity.FULL)
+        table = coefficients(args.d, args.u, _NORMS[args.norm])
+        op = assemble_spinor_R(basis, table, _REPS[args.rep], Parity.FULL)
         out = {
             "d": args.d,
             "u": str(args.u),
-            "norm": args.norm.value,
-            "rep": args.rep.value,
+            "norm": args.norm,
+            "rep": args.rep,
             "matrix": _matrix_json(op),
         }
     elif args.object == "report-schema":
@@ -277,7 +280,7 @@ def _dump(args) -> int:
             },
         }
     else:
-        raise KeyError(args.object)
+        raise ValueError(f"unknown object {args.object!r}")
     print(json.dumps(out, indent=None, separators=(",", ":")))
     return 0
 
@@ -338,8 +341,8 @@ def build_parser():
                                           "report-schema"))
     dumpp.add_argument("--d", type=int, default=2)
     dumpp.add_argument("--u", type=_frac, default=Fraction(1))
-    dumpp.add_argument("--norm", type=lambda s: _NORMS[s], default=Normalization.UNIT)
-    dumpp.add_argument("--rep", type=lambda s: _REPS[s], default=RepChoice.NAIVE)
+    dumpp.add_argument("--norm", choices=sorted(_NORMS), default=Normalization.UNIT.value)
+    dumpp.add_argument("--rep", choices=sorted(_REPS), default=RepChoice.NAIVE.value)
     return parser
 
 
@@ -361,7 +364,7 @@ def main(argv=None) -> int:
             reports.sort(key=lambda r: (r.check_id,
                                         json.dumps(r.params, sort_keys=True, default=str)))
         return 1 if _emit(reports, args) else 0
-    except (KeyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ybv: error: {exc}", file=sys.stderr)
         return 2
 

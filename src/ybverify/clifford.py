@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .kernel import ExactScalar, SparseOperator, kron
+from .kernel import ExactScalar, RowSymmetry, SparseOperator, kron
 
 DEFAULT_MAX_D = 8
 
@@ -39,6 +39,7 @@ class GammaBasis:
         self._contractions = {}
         self._antisym = {}
         self._components = None  # the As-components S_0..S_d
+        self._symmetry = None
 
     def gamma(self, a: int) -> SparseOperator:
         """gamma_a for a = 1..d (the paper's index convention)."""
@@ -69,6 +70,26 @@ class GammaBasis:
             cached = acc
             self._contractions[k] = cached
         return cached
+
+    def row_symmetry(self) -> RowSymmetry:
+        """The row symmetry of every Yang-Baxter-type residual built from
+        pair contractions: monomial lifts to Spin(d) of generators of the
+        Weyl group of so(d).  With m = d/2 they are
+        w_k = (1 + gamma_{2k-1} gamma_{2k+1})(1 + gamma_{2k} gamma_{2k+2}),
+        k = 1..m-1, which swaps Cartan pairs k and k+1, and
+        f = gamma_{2m-3} gamma_{2m-1}, which flips two Cartan weights (none
+        at d = 2).  In the chiral basis each is a signed permutation (times
+        2 for w_k); ``RowSymmetry`` rejects one that is not monomial."""
+        if self._symmetry is None:
+            m = self.d // 2
+            ident = SparseOperator.identity(self.dim)
+            g = self.gamma
+            lifts = [(ident + g(2 * k - 1) @ g(2 * k + 1)) @ (ident + g(2 * k) @ g(2 * k + 2))
+                     for k in range(1, m)]
+            if m >= 2:
+                lifts.append(g(2 * m - 3) @ g(2 * m - 1))
+            self._symmetry = RowSymmetry(lifts, self.dim)
+        return self._symmetry
 
     def __repr__(self):
         return f"GammaBasis(d={self.d}, dim={self.dim})"

@@ -368,23 +368,102 @@ def embed_pair(op: SparseOperator, slots, dims) -> SparseOperator:
     return SparseOperator(acc, grid, op._den, _normalized=True)
 
 
-def _yb(a, b, c, n, with_rhs):
+class RowSymmetry:
+    """Monomial matrices g on V (the ``lifts``) and what the Yang-Baxter
+    row reduction needs of them: each g (x) g on V (x) V as ``pairs``
+    (perm, phase) lists, and in ``rows`` the least row of each orbit of
+    V (x) V (x) V under (i, j, k) -> (s(i), s(j), s(k)), with s running over
+    the lifts' permutations.
+
+    If operators a, b and c on V (x) V each commute with every g (x) g, the
+    Yang-Baxter residual and lhs commute with g (x) g (x) g, which maps row
+    r to a nonzero multiple of row s(r).  So the rows of one orbit are zero
+    or nonzero together: the residual is zero iff every orbit minimum row
+    is, and its first nonzero row is the least nonzero orbit minimum.  With
+    no lifts every row is its own orbit.
+    """
+
+    def __init__(self, lifts, n: int):
+        self.n = n
+        self.lifts = tuple(lifts)
+        perms, pairs = [], []
+        for g in self.lifts:
+            perm, phase = _monomial(g, n)
+            perms.append(perm)
+            pairs.append(([perm[i] * n + perm[j] for i in range(n) for j in range(n)],
+                          [(pr * qr - pi * qi, pr * qi + pi * qr)
+                           for pr, pi in phase for qr, qi in phase]))
+        self.pairs = tuple(pairs)
+        self.rows = _orbit_minima(perms, n)
+
+    def certifies(self, *ops) -> bool:
+        """True iff every operator commutes exactly with every g (x) g."""
+        return all(_k.commutes_monomial(op._rows, perm, phase)
+                   for op in ops for perm, phase in self.pairs)
+
+
+def _monomial(g: SparseOperator, n: int):
+    """(perm, phase) with g[perm[i], i] = phase[i] / den(g); ValueError
+    unless g is an invertible monomial n x n matrix."""
+    perm, phase = [None] * n, [None] * n
+    if g.dim != n or len(g._rows) != n:
+        raise ValueError(f"lift {g!r} is not a monomial {n}x{n} matrix")
+    for r, row in g._rows.items():
+        if len(row) != 1:
+            raise ValueError(f"lift {g!r} is not monomial: row {r} has {len(row)} entries")
+        (c, v), = row.items()
+        if perm[c] is not None:
+            raise ValueError(f"lift {g!r} is not monomial: column {c} repeats")
+        perm[c], phase[c] = r, v
+    return perm, phase
+
+
+def _orbit_minima(perms, n: int) -> tuple:
+    """Least index of each orbit of {0..n^3-1} under r = (i*n + j)*n + k ->
+    (s(i)*n + s(j))*n + s(k), s in ``perms``, ascending."""
+    size = n ** 3
+    seen = bytearray(size)
+    minima = []
+    for r in range(size):
+        if seen[r]:
+            continue
+        minima.append(r)
+        seen[r] = 1
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            ij, k = divmod(x, n)
+            i, j = divmod(ij, n)
+            for s in perms:
+                y = (s[i] * n + s[j]) * n + s[k]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return tuple(minima)
+
+
+def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
+                 n: int, symmetry: RowSymmetry | None = None,
+                 with_rhs: bool = True) -> SparseOperator:
+    """The first nonzero row of (a (x) 1)(1 (x) b)(c (x) 1) -
+    (1 (x) c)(b (x) 1)(1 (x) a) on V (x) V (x) V, or of its lhs alone when
+    ``with_rhs`` is false, for operators a, b, c on V (x) V with dim V = n:
+    the residual of every Yang-Baxter-type relation.  It is returned as an
+    operator that holds that row alone, so it is zero iff the residual is
+    and its ``first_nonzero`` is the residual's.
+
+    Rows are built one at a time, without any three-space factor or
+    product, and the stream stops at the first nonzero row.  If
+    ``symmetry`` certifies a, b and c, only its orbit minima stream;
+    otherwise every row streams in order."""
     if not a.dim == b.dim == c.dim == n * n:
         raise ValueError(f"operator dims {a.dim}, {b.dim}, {c.dim} are not {n}*{n}")
-    rows = _k.yb_grid(a._rows, b._rows, c._rows, n, with_rhs)
-    return SparseOperator(n ** 3, rows, a._den * b._den * c._den)
-
-
-def yb_difference(a: SparseOperator, b: SparseOperator, c: SparseOperator,
-                  n: int) -> SparseOperator:
-    """(a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a) on
-    V (x) V (x) V for operators a, b, c on V (x) V with dim V = n: the
-    residual of every Yang-Baxter-type relation.  It is built one row at a
-    time, without any three-space factor or product."""
-    return _yb(a, b, c, n, True)
-
-
-def yb_lhs(a: SparseOperator, b: SparseOperator, c: SparseOperator,
-           n: int) -> SparseOperator:
-    """(a (x) 1)(1 (x) b)(c (x) 1) alone, by the rows of ``yb_difference``."""
-    return _yb(a, b, c, n, False)
+    rows = range(n ** 3)
+    if symmetry is not None:
+        if symmetry.n != n:
+            raise ValueError(f"symmetry on dimension {symmetry.n}, operands on {n}")
+        if symmetry.certifies(a, b, c):
+            rows = symmetry.rows
+    for r, row in _k.yb_rows(a._rows, b._rows, c._rows, n, rows, with_rhs):
+        return SparseOperator(n ** 3, {r: row}, a._den * b._den * c._den)
+    return SparseOperator.zero(n ** 3)

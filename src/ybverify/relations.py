@@ -18,8 +18,7 @@ from math import comb
 
 from .clifford import (GammaBasis, antisym_product, as_exp_components,
                        as_exponential, build_gamma, exchange_pair, graded_rep)
-from .kernel import (ExactScalar, SparseOperator, embed_pair, kron,
-                     yb_difference, yb_lhs)
+from .kernel import ExactScalar, SparseOperator, embed_pair, kron, yb_first_row
 from .rmatrix import (Normalization, Parity, QuantumRep, RepChoice,
                       assemble_spinor_R, coefficients, fundamental_L0,
                       fundamental_R0, normalization_weights,
@@ -154,7 +153,8 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "norm": _fmt(norm), "rep": _fmt(rep)}
     if perturb_k is not None:
         params["perturb_k"] = perturb_k
-    n = _basis(d).dim
+    basis = _basis(d)
+    n = basis.dim
     cap = budget_dim(budget)
     if n ** 3 >= cap:
         return _skip("ybe", params, n ** 3, cap)
@@ -162,7 +162,7 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
         Ru = _spinor_R(d, u, norm, rep, perturb_k=perturb_k)
         Ruv = _spinor_R(d, u + v, norm, rep)
         Rv = _spinor_R(d, v, norm, rep)
-        diff = yb_difference(Ru, Ruv, Rv, n)
+        diff = yb_first_row(Ru, Ruv, Rv, n, basis.row_symmetry())
     return _exact_report("ybe", params, [("YBE", diff)], t,
                          convention="spectral placement (u, u+v, v)")
 
@@ -178,7 +178,8 @@ def check_three_term(d, u, v, signs, norm=Normalization.PRODUCT_FORM,
         raise ValueError(f"signs must be three of '+'/'-', got {signs!r}")
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "signs": "".join(signs),
               "norm": _fmt(norm), "rep": _fmt(rep)}
-    n = _basis(d).dim
+    basis = _basis(d)
+    n = basis.dim
     cap = budget_dim(budget)
     if n ** 3 >= cap:
         return _skip("three_term", params, n ** 3, cap)
@@ -188,12 +189,14 @@ def check_three_term(d, u, v, signs, norm=Normalization.PRODUCT_FORM,
         Ri = _spinor_R(d, u, norm, rep, parity[si])
         Rk = _spinor_R(d, u + v, norm, rep, parity[sk])
         Rj = _spinor_R(d, v, norm, rep, parity[sj])
-        diffs = [("three-term", yb_difference(Ri, Rk, Rj, n))]
+        symmetry = basis.row_symmetry()
+        diffs = [("three-term", yb_first_row(Ri, Rk, Rj, n, symmetry))]
         minus_count = sum(1 for s in signs if s == "-")
         if minus_count % 2 == 1:
             # odd sign product: both products must vanish; with lhs = 0 and
             # lhs - rhs = 0, rhs = 0 follows, so only lhs is tested
-            diffs.append(("zero-product lhs", yb_lhs(Ri, Rk, Rj, n)))
+            diffs.append(("zero-product lhs",
+                          yb_first_row(Ri, Rk, Rj, n, symmetry, with_rhs=False)))
     return _exact_report("three_term", params, diffs, t,
                          convention="spectral placement (u, u+v, v)")
 
@@ -209,7 +212,7 @@ def check_fundamental_ybe(d, u, v, budget=None) -> CheckReport:
         Ruv = fundamental_R0(d, u - v)
         Ru = fundamental_R0(d, u)
         Rv = fundamental_R0(d, v)
-        diff = yb_difference(Ruv, Ru, Rv, d)
+        diff = yb_first_row(Ruv, Ru, Rv, d)
     return _exact_report("fundamental_ybe", params, [("fundamental YBE", diff)], t,
                          convention="spectral placement (u-v, u, v)")
 
@@ -477,7 +480,7 @@ def check_exchange_identities(d, budget=None) -> CheckReport:
             diffs.append((f"intertwine P index {a}", g1 @ P - P @ g2))
             diffs.append((f"intertwine P' index {a}", g2 @ Pp - Pp @ g1))
         for label, E in (("braid P", P), ("braid P'", Pp)):
-            diffs.append((label, yb_difference(E, E, E, basis.dim)))
+            diffs.append((label, yb_first_row(E, E, E, basis.dim, basis.row_symmetry())))
     return _exact_report("exchange_identities", params, diffs, t)
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from ybverify import _core
 from ybverify.kernel import ExactScalar, SparseOperator, kron
 
 
@@ -112,11 +113,18 @@ def dense_local_ybe_sides(basis, p, q):
 def yb_sides(a, b, c, n):
     """(a (x) 1)(1 (x) b)(c (x) 1) and (1 (x) c)(b (x) 1)(1 (x) a) from
     stored Kronecker factors and products, with dim V = n: the reference for
-    the row-streamed ``kernel.yb_difference`` and ``kernel.yb_lhs``."""
+    the row stream ``_core.yb_rows`` and ``kernel.yb_first_row``."""
     ident = SparseOperator.identity(n)
     lhs = kron(a, ident) @ kron(ident, b) @ kron(c, ident)
     rhs = kron(ident, c) @ kron(b, ident) @ kron(ident, a)
     return lhs, rhs
+
+
+def streamed_yb(a, b, c, n, with_rhs=True):
+    """The whole residual (a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a),
+    or its lhs alone, from ``_core.yb_rows`` driven over every row."""
+    rows = _core.yb_rows(a._rows, b._rows, c._rows, n, range(n ** 3), with_rhs)
+    return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
 
 
 def fundamental_L0_loop(basis, u):

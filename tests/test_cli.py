@@ -316,6 +316,24 @@ def test_program_bug_is_not_a_verdict(monkeypatch):
         main(["run", "--all", "--d-list", "2"])
 
 
+def test_key_error_bug_is_not_a_config_error(monkeypatch):
+    # a KeyError raised inside a check is a program bug, not exit 2
+    def broken(*args, **kwargs):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(relations, "check_unitarity", broken)
+    with pytest.raises(KeyError, match="planted"):
+        main(["check", "unitarity", "--d", "2"])
+
+
+def test_suite_item_without_check_names_its_index(tmp_path, capsys):
+    suite = [{"check": "ybe", "params": {"d": 2}}, {"params": {"d": 2}}]
+    code, out, err = _run_suite(tmp_path, capsys, suite)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and 'item 1 has no "check" key' in err
+
+
 def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path):
     # nor a process pool: the suite runs its jobs in one process
     heavy = "{'numpy', 'scipy', 'concurrent.futures.process'}"
@@ -391,6 +409,14 @@ def test_dump_rmatrix_and_schema(capsys):
     code, out, _ = run_cli(["dump", "report-schema"], capsys)
     assert code == 0
     assert json.loads(out)["schema"] == 1
+
+
+@pytest.mark.parametrize("option", ["--norm", "--rep"])
+def test_dump_unknown_choice_is_usage_error(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "rmatrix", option, "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_dump_deterministic(capsys):

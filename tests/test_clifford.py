@@ -217,3 +217,40 @@ def test_gamma5_pair_reflection_k0_is_top_representation(bases):
         sign = 1 if (d // 2) % 2 == 0 else -1
         lhs = kron(basis.gamma5, basis.gamma5)
         assert lhs == basis.pair_contraction(d).scale(sign)
+
+
+# --- Weyl lifts: the row symmetry of Yang-Baxter residuals -------------------
+
+@pytest.mark.parametrize("d,orbits", [(2, 8), (4, 20), (6, 40), (8, 70)])
+def test_row_symmetry_orbit_counts(bases, d, orbits):
+    sym = bases[d].row_symmetry()
+    assert len(sym.lifts) == (d // 2 if d > 2 else 0)
+    assert len(sym.rows) == orbits
+    assert list(sym.rows) == sorted(sym.rows) and sym.rows[0] == 0
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_row_symmetry_lifts_are_signed_weyl_permutations(bases, d):
+    basis = bases[d]
+    cartan = [basis.gamma(2 * j - 1) @ basis.gamma(2 * j) for j in range(1, d // 2 + 1)]
+    for g in basis.row_symmetry().lifts:
+        # monomial: one entry per row and column, a real sign times 1 or 2
+        assert sorted(c for (_, c), _v in g.items()) == list(range(basis.dim))
+        assert len({r for (r, _), _v in g.items()}) == basis.dim
+        assert {v for _, v in g.items()} <= {ExactScalar(s) for s in (1, -1, 2, -2)}
+        # a Weyl lift: g maps each Cartan element to +-1 times one of them
+        for h in cartan:
+            assert any(g @ h == (h2 @ g).scale(s) for h2 in cartan for s in (1, -1)), d
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_row_symmetry_certifies_pair_contractions_and_components(bases, d):
+    # every R-matrix is a combination of these, so the certificate holds
+    # for all of them
+    basis = bases[d]
+    sym = basis.row_symmetry()
+    assert sym.certifies(*(basis.pair_contraction(k) for k in range(d + 1)))
+    assert sym.certifies(*as_exp_components(basis))
+    planted = basis.pair_contraction(2) + SparseOperator.from_entries(
+        basis.dim ** 2, {(0, 1): 1})
+    assert not sym.certifies(planted)

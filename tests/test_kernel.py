@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybverify.kernel import (ExactScalar, SparseOperator, embed_pair, kron,
-                             yb_difference, yb_lhs)
+from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, embed_pair,
+                             kron, yb_first_row)
 
-from helpers import dense_kron, dense_mul, rand_operator, yb_sides
+from helpers import dense_kron, dense_mul, rand_operator, streamed_yb, yb_sides
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 scalars = st.builds(ExactScalar, fractions, fractions)
@@ -226,13 +226,56 @@ _DENSE = {(r, c): ExactScalar(Fraction(r - 2 * c, 1 + c), r * c - 3)
 def test_yb_stream_matches_kron_chain(operands):
     n, a, b, c = operands
     lhs, rhs = yb_sides(a, b, c, n)
-    assert yb_difference(a, b, c, n) == lhs - rhs
-    assert yb_lhs(a, b, c, n) == lhs
+    assert streamed_yb(a, b, c, n) == lhs - rhs
+    assert streamed_yb(a, b, c, n, with_rhs=False) == lhs
+    # the ordered stream stops at the residual's first nonzero row
+    for first, full in ((yb_first_row(a, b, c, n), lhs - rhs),
+                        (yb_first_row(a, b, c, n, with_rhs=False), lhs)):
+        assert first.is_zero() == full.is_zero()
+        assert first.first_nonzero() == full.first_nonzero()
 
 
 def test_yb_difference_dimension_mismatch():
     a = SparseOperator.identity(4)
     with pytest.raises(ValueError):
-        yb_difference(a, a, SparseOperator.identity(9), 2)
+        yb_first_row(a, a, SparseOperator.identity(9), 2)
     with pytest.raises(ValueError):
-        yb_lhs(a, a, a, 3)
+        yb_first_row(a, a, a, 3, with_rhs=False)
+    with pytest.raises(ValueError):
+        yb_first_row(a, a, a, 2, RowSymmetry((), 3))
+
+
+# --- monomial row symmetry ---------------------------------------------------
+
+_SWAP = SparseOperator.from_entries(2, {(0, 1): 1, (1, 0): -1})   # a signed swap
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 1, (0, 1): 1, (1, 1): 1},   # two entries in row 0
+    {(0, 0): 1, (1, 0): 1},              # column 0 twice
+    {(0, 1): 1},                         # row 1 empty
+])
+def test_row_symmetry_rejects_non_monomial(entries):
+    with pytest.raises(ValueError):
+        RowSymmetry([SparseOperator.from_entries(2, entries)], 2)
+
+
+def test_row_symmetry_orbits():
+    # no lift: every row is its own orbit; the swap s pairs (i, j, k) with
+    # (1-i, 1-j, 1-k)
+    assert RowSymmetry((), 2).rows == tuple(range(8))
+    assert RowSymmetry([_SWAP], 2).rows == (0, 1, 2, 3)
+
+
+def test_row_symmetry_certificate_is_exact():
+    sym = RowSymmetry([_SWAP.scale(2)], 2)
+    ident = SparseOperator.identity(4)
+    flip = SparseOperator.from_entries(4, {(0, 3): 1, (3, 0): 1, (1, 2): 1, (2, 1): 1})
+    gg = kron(_SWAP, _SWAP)
+    assert sym.certifies(ident, gg, flip)
+    # g (x) g maps (0, 1) to (3, 2) with phase -1: the partner entry must
+    # match it exactly
+    planted = SparseOperator.from_entries(4, {(0, 1): 1, (3, 2): -1})
+    assert sym.certifies(planted)
+    for partner in ({}, {(3, 2): 1}, {(3, 2): ExactScalar(0, -1)}):
+        assert not sym.certifies(SparseOperator.from_entries(4, {(0, 1): 1, **partner}))

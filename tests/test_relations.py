@@ -3,14 +3,17 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybverify import clifford, rmatrix
 from ybverify import relations as rel
-from ybverify.kernel import SparseOperator, yb_difference, yb_lhs
+from ybverify.kernel import ExactScalar, SparseOperator, yb_first_row
 from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               fundamental_R0, so_defining_rep, so_spinor_rep)
 
-from helpers import brute_as_exponential, brute_graded_generators, yb_sides
+from helpers import (brute_as_exponential, brute_graded_generators, streamed_yb,
+                     yb_sides)
 
 U, V = Fraction(1, 2), Fraction(1, 3)
 LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
@@ -271,9 +274,9 @@ def test_yb_sides_braid_equals_brute_three_copy(d):
         e12 = brute_as_exponential(gens, 1, 2, t)
         e23 = brute_as_exponential(gens, 2, 3, t)
         n = rel._basis(d).dim
-        lhs = yb_lhs(E, E, E, n)
+        lhs = streamed_yb(E, E, E, n, with_rhs=False)
         assert lhs == e12 @ e23 @ e12, (d, t)
-        assert lhs - yb_difference(E, E, E, n) == e23 @ e12 @ e23, (d, t)
+        assert lhs - streamed_yb(E, E, E, n) == e23 @ e12 @ e23, (d, t)
 
 
 def _spinor_triple(d, perturb_k=None):
@@ -297,8 +300,14 @@ def test_yb_stream_matches_kron_chain_on_relation_operands(kind, d):
         a = b = c = clifford.exchange_pair(rel._basis(d))[kind == "Pp"]
         n = rel._basis(d).dim
     lhs, rhs = yb_sides(a, b, c, n)
-    assert yb_difference(a, b, c, n) == lhs - rhs
-    assert yb_lhs(a, b, c, n) == lhs
+    assert streamed_yb(a, b, c, n) == lhs - rhs
+    assert streamed_yb(a, b, c, n, with_rhs=False) == lhs
+    if kind != "fundamental":
+        symmetry = rel._basis(d).row_symmetry()
+        assert symmetry.certifies(a, b, c)
+        assert yb_first_row(a, b, c, n, symmetry).first_nonzero() == (lhs - rhs).first_nonzero()
+        assert (yb_first_row(a, b, c, n, symmetry, with_rhs=False).first_nonzero()
+                == lhs.first_nonzero())
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -441,3 +450,78 @@ def test_asym_fails_with_shifted_generator(d):
     report = rel.check_asym(rmatrix.QuantumRep(d, d, gens), "defining")
     assert report.status is rel.Status.FAIL
     assert report.detail == "nonzero antisymmetrization for (a,b,c,d)=(1,2,3,4): 4*i at (2,3)"
+
+
+# --- the orbit reduction keeps every located FAIL ---------------------------
+
+def _ybe_detail(a, b, c, n):
+    """The YBE FAIL detail of the full residual: from the kron chain up to
+    d = 6, from the ordered row stream at d = 8."""
+    if n <= 8:
+        lhs, rhs = yb_sides(a, b, c, n)
+        (r, col), value = (lhs - rhs).first_nonzero()
+    else:
+        (r, col), value = yb_first_row(a, b, c, n).first_nonzero()
+    return f"YBE: first residual {value} at entry ({r},{col})"
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_perturbed_ybe_keeps_full_stream_detail(d):
+    for k in range(d + 1):
+        report = rel.check_ybe(d, U, V, budget=100000, perturb_k=k)
+        assert report.status is rel.Status.FAIL, (d, k)
+        assert report.detail == _ybe_detail(*_spinor_triple(d, perturb_k=k), 2 ** (d // 2))
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_flipped_component_ybe_keeps_full_stream_detail(flipped_s2, d):
+    report = rel.check_ybe(d, U, V, budget=100000)
+    assert report.status is rel.Status.FAIL
+    assert report.detail == _ybe_detail(*_spinor_triple(d), 2 ** (d // 2))
+
+
+@pytest.mark.parametrize("d,value", [(4, "-197/216"), (6, "-51035/7776")])
+def test_ybe_planted_entry_falls_back_to_ordered_stream(planted_entry, d, value):
+    # the extra entry (0,1) is not invariant, so the certificate fails and
+    # every row streams in order: the FAIL is the full residual's
+    operands = _spinor_triple(d)
+    assert not rel._basis(d).row_symmetry().certifies(*operands)
+    report = rel.check_ybe(d, U, V)
+    assert report.detail == f"YBE: first residual {value} at entry (0,1)"
+    assert report.detail == _ybe_detail(*operands, 2 ** (d // 2))
+
+
+_gauss = st.builds(ExactScalar, st.fractions(-5, 5, max_denominator=6),
+                   st.fractions(-5, 5, max_denominator=6))
+
+
+@st.composite
+def component_combinations(draw):
+    """d, and three random combinations sum_k c_k S_k of the As-components,
+    each with an extra entry at a random place when ``planted`` is drawn."""
+    d = draw(st.sampled_from([4, 6]))
+    comps = clifford.as_exp_components(rel._basis(d))
+    dim = comps[0].dim
+    ops = []
+    for _ in range(3):
+        op = SparseOperator.zero(dim)
+        for comp in comps:
+            op = op + comp.scale(draw(_gauss))
+        if draw(st.booleans()):
+            cell = st.integers(0, dim - 1)
+            op = op + SparseOperator.from_entries(
+                dim, {(draw(cell), draw(cell)): draw(_gauss)})
+        ops.append(op)
+    return d, ops
+
+
+@given(component_combinations())
+@settings(deadline=None, max_examples=40)
+def test_orbit_reduced_first_row_matches_kron_chain(case):
+    d, (a, b, c) = case
+    n = rel._basis(d).dim
+    lhs, rhs = yb_sides(a, b, c, n)
+    symmetry = rel._basis(d).row_symmetry()
+    assert yb_first_row(a, b, c, n, symmetry).first_nonzero() == (lhs - rhs).first_nonzero()
+    assert (yb_first_row(a, b, c, n, symmetry, with_rhs=False).first_nonzero()
+            == lhs.first_nonzero())
