@@ -14,26 +14,56 @@ def mul_grid(arows, brows):
     """Row-major sparse product of two grids (Gaussian-integer entries)."""
     crows = {}
     for i, arow in arows.items():
-        acc = {}
-        for j, av in arow.items():
-            brow = brows.get(j)
-            if brow is None:
-                continue
-            ar, ai = av
-            for k, bv in brow.items():
-                br, bi = bv
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                cur = acc.get(k)
-                if cur is None:
-                    acc[k] = [re, im]
-                else:
-                    cur[0] += re
-                    cur[1] += im
-        row = {k: (v[0], v[1]) for k, v in acc.items() if v[0] or v[1]}
+        row = _nonzero(_row_times(arow, brows, {}))
         if row:
             crows[i] = row
     return crows
+
+
+def _row_times(vec, brows, out):
+    """Add the row vector vec times the grid B into out, an accumulator
+    {col: [re, im]}.  Vectors are {col: (re, im)} or {col: [re, im]}."""
+    for j, (vr, vi) in vec.items():
+        brow = brows.get(j)
+        if brow is None:
+            continue
+        for k, (br, bi) in brow.items():
+            re = vr * br - vi * bi
+            im = vr * bi + vi * br
+            cur = out.get(k)
+            if cur is None:
+                out[k] = [re, im]
+            else:
+                cur[0] += re
+                cur[1] += im
+    return out
+
+
+def _nonzero(acc):
+    """An accumulator row as a grid row: (re, im) tuples, zeros dropped."""
+    return {col: (v[0], v[1]) for col, v in acc.items() if v[0] or v[1]}
+
+
+def chain_rows(a, b, rows):
+    """Yield (r, row) for each index r in ``rows`` whose row of
+    A1 A2 A3 - B1 B2 B3 is nonzero, for triples of grids a = (A1, A2, A3)
+    and b = (B1, B2, B3) whose products are over one denominator.  Each row
+    starts from row r of A1 (or B1) and meets the stored grids one product
+    at a time, so no product of two grids is formed."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    for r in rows:
+        acc = {}
+        arow = a1.get(r)
+        if arow:
+            _row_times(_row_times(arow, a2, {}), a3, acc)
+        brow = b1.get(r)
+        if brow:
+            brow = {c: (-v[0], -v[1]) for c, v in brow.items()}
+            _row_times(_row_times(brow, b2, {}), b3, acc)
+        row = _nonzero(acc)
+        if row:
+            yield r, row
 
 
 def add_grids(arows, brows, sa, sb):
@@ -70,6 +100,32 @@ def scale_grid(rows, gre, gim):
             j: (gre * v[0] - gim * v[1], gre * v[1] + gim * v[0])
             for j, v in row.items()
         }
+    return out
+
+
+def combine_grids(terms):
+    """Sum of (gre + i*gim) * A over the (grid, gre, gim) triples in
+    ``terms``, accumulated in one grid."""
+    acc = {}
+    for rows, gre, gim in terms:
+        for i, row in rows.items():
+            arow = acc.get(i)
+            if arow is None:
+                arow = acc[i] = {}
+            for j, (vr, vi) in row.items():
+                re = gre * vr - gim * vi
+                im = gre * vi + gim * vr
+                cur = arow.get(j)
+                if cur is None:
+                    arow[j] = [re, im]
+                else:
+                    cur[0] += re
+                    cur[1] += im
+    out = {}
+    for i, arow in acc.items():
+        row = _nonzero(arow)
+        if row:
+            out[i] = row
     return out
 
 
@@ -160,7 +216,7 @@ def yb_rows(arows, brows, crows, n, rows, with_rhs=True):
                 base = r - jk
                 start = {base + q: (-v[0], -v[1]) for q, v in crow.items()}
                 _times_right(_times_left(start, brows, n, {}), arows, n2, acc)
-        row = {col: (v[0], v[1]) for col, v in acc.items() if v[0] or v[1]}
+        row = _nonzero(acc)
         if row:
             yield r, row
 

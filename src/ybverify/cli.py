@@ -3,7 +3,8 @@ dump constructed objects as JSON.
 
 Reports stream as JSON lines on stdout (one object per check, fixed key
 order plus a schema field); a human-readable table goes to stderr.  Exit
-codes: 0 all pass (skips allowed), 1 any check failed, 2 usage/config error.
+codes: 0 all pass (skips allowed), 1 any check failed, 2 usage/config error,
+3 a program bug (the traceback goes to stderr).
 Wall-clock timings are zeroed in the stream unless --timings is given, so
 repeated runs with the same configuration are byte-identical.
 """
@@ -369,5 +370,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main(argv=None) -> int:
+    """The ``ybv`` entry point: ``main``, except that an exception it lets
+    through, which is a program bug rather than a verdict or a
+    configuration error, prints its traceback and exits 3."""
+    try:
+        return main(argv)
+    except Exception:
+        import traceback  # only a failing run pays for the import
+
+        traceback.print_exc()
+        return 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -39,7 +39,8 @@ class GammaBasis:
         self._contractions = {}
         self._antisym = {}
         self._components = None  # the As-components S_0..S_d
-        self._symmetry = None
+        self._lifts = None
+        self._symmetries = {}
 
     def gamma(self, a: int) -> SparseOperator:
         """gamma_a for a = 1..d (the paper's index convention)."""
@@ -71,16 +72,15 @@ class GammaBasis:
             self._contractions[k] = cached
         return cached
 
-    def row_symmetry(self) -> RowSymmetry:
-        """The row symmetry of every Yang-Baxter-type residual built from
-        pair contractions: monomial lifts to Spin(d) of generators of the
-        Weyl group of so(d).  With m = d/2 they are
+    def weyl_lifts(self) -> tuple:
+        """Monomial lifts to Spin(d) of generators of the Weyl group of
+        so(d).  With m = d/2 they are
         w_k = (1 + gamma_{2k-1} gamma_{2k+1})(1 + gamma_{2k} gamma_{2k+2}),
         k = 1..m-1, which swaps Cartan pairs k and k+1, and
         f = gamma_{2m-3} gamma_{2m-1}, which flips two Cartan weights (none
         at d = 2).  In the chiral basis each is a signed permutation (times
         2 for w_k); ``RowSymmetry`` rejects one that is not monomial."""
-        if self._symmetry is None:
+        if self._lifts is None:
             m = self.d // 2
             ident = SparseOperator.identity(self.dim)
             g = self.gamma
@@ -88,8 +88,29 @@ class GammaBasis:
                      for k in range(1, m)]
             if m >= 2:
                 lifts.append(g(2 * m - 3) @ g(2 * m - 1))
-            self._symmetry = RowSymmetry(lifts, self.dim)
-        return self._symmetry
+            self._lifts = tuple(lifts)
+        return self._lifts
+
+    def row_symmetry(self, quantum=None) -> RowSymmetry | None:
+        """The row symmetry of the residuals on V (x) V (x) X built from
+        pair contractions and so(d)-invariant L-operators: the Weyl lifts
+        on both V slots and, on X, the lifts themselves (X = V) or, for a
+        quantum representation, its ``lifts`` on X = W (None if it has
+        none).  Cached by the value of the quantum dimension and lifts, so
+        equal fresh representations share one entry."""
+        if quantum is not None and quantum.lifts is None:
+            return None
+        key = None if quantum is None else (quantum.m, quantum.lifts)
+        symmetry = self._symmetries.get(key)
+        if symmetry is None:
+            lifts = self.weyl_lifts()
+            if key is None:
+                symmetry = RowSymmetry((lifts,) * 3, (self.dim,) * 3)
+            else:
+                symmetry = RowSymmetry((lifts, lifts, quantum.lifts),
+                                       (self.dim, self.dim, quantum.m))
+            self._symmetries[key] = symmetry
+        return symmetry
 
     def __repr__(self):
         return f"GammaBasis(d={self.d}, dim={self.dim})"

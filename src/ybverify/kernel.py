@@ -337,6 +337,26 @@ def kron(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(a.dim * b.dim, rows, a._den * b._den)
 
 
+def combination(terms, dim: int) -> SparseOperator:
+    """Sum of c X over the (X, c) pairs in ``terms``, for dim-dimensional
+    operators X and exact scalars c: every scaled term is accumulated in one
+    grid over the lcm of the denominators, then normalized once."""
+    scaled, den = [], 1
+    for op, c in terms:
+        if op.dim != dim:
+            raise ValueError(f"dimension mismatch: {op.dim} vs {dim}")
+        if not isinstance(c, ExactScalar):
+            c = ExactScalar(c)
+        if not c or not op._rows:
+            continue
+        q = lcm(c.re.denominator, c.im.denominator)
+        scaled.append((op, int(c.re * q), int(c.im * q), op._den * q))
+        den = lcm(den, op._den * q)
+    rows = _k.combine_grids([(op._rows, gre * (den // sden), gim * (den // sden))
+                             for op, gre, gim, sden in scaled])
+    return SparseOperator(dim, rows, den)
+
+
 def embed_pair(op: SparseOperator, slots, dims) -> SparseOperator:
     """Two-slot embedding: op lives on V_{s1} (x) V_{s2} (s1 < s2, in that
     index order) inside the full product over ``dims``."""
@@ -357,49 +377,71 @@ def embed_pair(op: SparseOperator, slots, dims) -> SparseOperator:
     for k in others:
         offsets = [o + x * strides[k] for o in offsets for x in range(dims[k])]
     grid = {}
+    # row (r, o) of the embedding is row r of op shifted by the offset o
+    # of the other slot, and no two (r, o) give the same row
     for r, row in op._rows.items():
         i1, i2 = divmod(r, d2)
         rbase = i1 * strides[s1] + i2 * strides[s2]
-        for c, v in row.items():
-            j1, j2 = divmod(c, d2)
-            cbase = j1 * strides[s1] + j2 * strides[s2]
-            for o in offsets:
-                grid.setdefault(rbase + o, {})[cbase + o] = v
+        cols = [((c // d2) * strides[s1] + (c % d2) * strides[s2], v)
+                for c, v in row.items()]
+        for o in offsets:
+            grid[rbase + o] = {cbase + o: v for cbase, v in cols}
     return SparseOperator(acc, grid, op._den, _normalized=True)
 
 
 class RowSymmetry:
-    """Monomial matrices g on V (the ``lifts``) and what the Yang-Baxter
-    row reduction needs of them: each g (x) g on V (x) V as ``pairs``
-    (perm, phase) lists, and in ``rows`` the least row of each orbit of
-    V (x) V (x) V under (i, j, k) -> (s(i), s(j), s(k)), with s running over
-    the lifts' permutations.
+    """Monomial matrices on the three slots of X0 (x) X1 (x) X2 and what the
+    row reductions need of them.  ``lifts`` holds, per slot, the images
+    g_0, g_1, g_2 of the same group elements in the same order, and ``dims``
+    the slot dimensions; ``rows`` holds the least row of each orbit of
+    (i, j, k) -> (s_0(i), s_1(j), s_2(k)), with s_t the permutation of g_t.
 
-    If operators a, b and c on V (x) V each commute with every g (x) g, the
-    Yang-Baxter residual and lhs commute with g (x) g (x) g, which maps row
-    r to a nonzero multiple of row s(r).  So the rows of one orbit are zero
-    or nonzero together: the residual is zero iff every orbit minimum row
-    is, and its first nonzero row is the least nonzero orbit minimum.  With
-    no lifts every row is its own orbit.
+    Let a residual be a sum of products of two-slot operators.  If each
+    operator on slots (s, t) commutes with every g_s (x) g_t, the residual
+    commutes with g_0 (x) g_1 (x) g_2, which maps row r to a nonzero
+    multiple of row s(r).  So the rows of one orbit are zero or nonzero
+    together: the residual is zero iff every orbit minimum row is, and its
+    first nonzero row is the least nonzero orbit minimum.  With no lifts
+    every row is its own orbit.
     """
 
-    def __init__(self, lifts, n: int):
-        self.n = n
-        self.lifts = tuple(lifts)
-        perms, pairs = [], []
-        for g in self.lifts:
-            perm, phase = _monomial(g, n)
-            perms.append(perm)
-            pairs.append(([perm[i] * n + perm[j] for i in range(n) for j in range(n)],
-                          [(pr * qr - pi * qi, pr * qi + pi * qr)
-                           for pr, pi in phase for qr, qi in phase]))
-        self.pairs = tuple(pairs)
-        self.rows = _orbit_minima(perms, n)
+    def __init__(self, lifts, dims):
+        self.lifts = tuple(tuple(slot) for slot in lifts)
+        self.dims = tuple(dims)
+        if (len(self.lifts) != 3 or len(self.dims) != 3
+                or len({len(slot) for slot in self.lifts}) != 1):
+            raise ValueError("a row symmetry needs three slots with equally many lifts")
+        self._monomials = tuple(tuple(_monomial(g, dim) for g in slot)
+                                for slot, dim in zip(self.lifts, self.dims))
+        self._pairs = {}
+        self.rows = _orbit_minima([[perm for perm, _ in slot] for slot in self._monomials],
+                                  self.dims)
 
-    def certifies(self, *ops) -> bool:
-        """True iff every operator commutes exactly with every g (x) g."""
+    def certifies(self, slots, *ops) -> bool:
+        """True iff every operator on the slot pair ``slots`` = (s, t)
+        commutes exactly with every g_s (x) g_t."""
+        s, t = slots
+        ns, nt = self.dims[s], self.dims[t]
+        for op in ops:
+            if op.dim != ns * nt:
+                raise ValueError(f"operator dim {op.dim} != {ns}*{nt}")
+        pairs = self._pairs.get(slots)
+        if pairs is None:
+            pairs = self._pairs[slots] = tuple(
+                ([ps[i] * nt + pt[j] for i in range(ns) for j in range(nt)],
+                 [(ar * br - ai * bi, ar * bi + ai * br)
+                  for ar, ai in phs for br, bi in pht])
+                for (ps, phs), (pt, pht) in zip(self._monomials[s], self._monomials[t]))
         return all(_k.commutes_monomial(op._rows, perm, phase)
-                   for op in ops for perm, phase in self.pairs)
+                   for op in ops for perm, phase in pairs)
+
+    def _require(self, dims, shared):
+        """ValueError unless the symmetry is on ``dims`` and the slots in
+        ``shared`` carry the same lifts."""
+        if self.dims != dims:
+            raise ValueError(f"symmetry on dimensions {self.dims}, operands on {dims}")
+        if any(self.lifts[s] != self.lifts[shared[0]] for s in shared):
+            raise ValueError(f"slots {shared} of the symmetry carry different lifts")
 
 
 def _monomial(g: SparseOperator, n: int):
@@ -418,10 +460,14 @@ def _monomial(g: SparseOperator, n: int):
     return perm, phase
 
 
-def _orbit_minima(perms, n: int) -> tuple:
-    """Least index of each orbit of {0..n^3-1} under r = (i*n + j)*n + k ->
-    (s(i)*n + s(j))*n + s(k), s in ``perms``, ascending."""
-    size = n ** 3
+def _orbit_minima(perms, dims) -> tuple:
+    """Least index of each orbit of {0..n0*n1*n2-1}, (n0, n1, n2) = dims,
+    under r = (i*n1 + j)*n2 + k -> (s0(i)*n1 + s1(j))*n2 + s2(k), for
+    (s0, s1, s2) the permutations of one lift on each slot (``perms`` holds
+    them per slot), ascending."""
+    n0, n1, n2 = dims
+    size = n0 * n1 * n2
+    gens = tuple(zip(*perms))
     seen = bytearray(size)
     minima = []
     for r in range(size):
@@ -432,14 +478,22 @@ def _orbit_minima(perms, n: int) -> tuple:
         stack = [r]
         while stack:
             x = stack.pop()
-            ij, k = divmod(x, n)
-            i, j = divmod(ij, n)
-            for s in perms:
-                y = (s[i] * n + s[j]) * n + s[k]
+            ij, k = divmod(x, n2)
+            i, j = divmod(ij, n1)
+            for s0, s1, s2 in gens:
+                y = (s0[i] * n1 + s1[j]) * n2 + s2[k]
                 if not seen[y]:
                     seen[y] = 1
                     stack.append(y)
     return tuple(minima)
+
+
+def _first_row(stream, dim, den) -> SparseOperator:
+    """The first (r, row) of a row stream as an operator holding that row
+    alone, or zero if the stream is empty."""
+    for r, row in stream:
+        return SparseOperator(dim, {r: row}, den)
+    return SparseOperator.zero(dim)
 
 
 def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
@@ -454,16 +508,43 @@ def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
 
     Rows are built one at a time, without any three-space factor or
     product, and the stream stops at the first nonzero row.  If
-    ``symmetry`` certifies a, b and c, only its orbit minima stream;
-    otherwise every row streams in order."""
+    ``symmetry``, which must carry one set of lifts on all three slots,
+    certifies a, b and c, only its orbit minima stream; otherwise every row
+    streams in order."""
     if not a.dim == b.dim == c.dim == n * n:
         raise ValueError(f"operator dims {a.dim}, {b.dim}, {c.dim} are not {n}*{n}")
     rows = range(n ** 3)
     if symmetry is not None:
-        if symmetry.n != n:
-            raise ValueError(f"symmetry on dimension {symmetry.n}, operands on {n}")
-        if symmetry.certifies(a, b, c):
+        symmetry._require((n, n, n), (0, 1, 2))
+        if symmetry.certifies((0, 1), a, b, c):
             rows = symmetry.rows
-    for r, row in _k.yb_rows(a._rows, b._rows, c._rows, n, rows, with_rhs):
-        return SparseOperator(n ** 3, {r: row}, a._den * b._den * c._den)
-    return SparseOperator.zero(n ** 3)
+    stream = _k.yb_rows(a._rows, b._rows, c._rows, n, rows, with_rhs)
+    return _first_row(stream, n ** 3, a._den * b._den * c._den)
+
+
+def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
+                  n: int, m: int, symmetry: RowSymmetry | None = None) -> SparseOperator:
+    """The first nonzero row of R12 Lu13 Lv23 - Lv13 Lu23 R12 on
+    V (x) V (x) W, for R on V (x) V and Lu, Lv on V (x) W with dim V = n and
+    dim W = m: the residual of the RLL relation, returned as
+    ``yb_first_row`` returns its residual.
+
+    The five three-slot operators are embedded once; each row then meets
+    them one product at a time, and the stream stops at the first nonzero
+    row.  If ``symmetry``, on (V, V, W) with one set of lifts on both V
+    slots, certifies R on slots (0, 1) and Lu, Lv on slots (0, 2), only its
+    orbit minima stream; otherwise every row streams in order."""
+    if R.dim != n * n or Lu.dim != n * m or Lv.dim != n * m:
+        raise ValueError(f"operator dims {R.dim}, {Lu.dim}, {Lv.dim} are not "
+                         f"{n}*{n}, {n}*{m}, {n}*{m}")
+    dims = (n, n, m)
+    rows = range(n * n * m)
+    if symmetry is not None:
+        symmetry._require(dims, (0, 1))
+        if symmetry.certifies((0, 1), R) and symmetry.certifies((0, 2), Lu, Lv):
+            rows = symmetry.rows
+    R12 = embed_pair(R, (0, 1), dims)
+    lhs = (R12, embed_pair(Lu, (0, 2), dims), embed_pair(Lv, (1, 2), dims))
+    rhs = (embed_pair(Lv, (0, 2), dims), embed_pair(Lu, (1, 2), dims), R12)
+    stream = _k.chain_rows([op._rows for op in lhs], [op._rows for op in rhs], rows)
+    return _first_row(stream, n * n * m, R._den * Lu._den * Lv._den)

@@ -18,11 +18,12 @@ from math import comb
 
 from .clifford import (GammaBasis, antisym_product, as_exp_components,
                        as_exponential, build_gamma, exchange_pair, graded_rep)
-from .kernel import ExactScalar, SparseOperator, embed_pair, kron, yb_first_row
+from .kernel import ExactScalar, SparseOperator, kron, rll_first_row, yb_first_row
 from .rmatrix import (Normalization, Parity, QuantumRep, RepChoice,
                       assemble_spinor_R, coefficients, fundamental_L0,
                       fundamental_R0, normalization_weights,
-                      product_form_slope_at_zero, projectors, quantum_L)
+                      product_form_slope_at_zero, projectors, quantum_L,
+                      so_defining_rep)
 
 DEFAULT_BUDGET_DIM = 2 ** 12
 # seed of the sampled points of the float local checks (local_ybe,
@@ -221,22 +222,20 @@ def check_fundamental_ybe(d, u, v, budget=None) -> CheckReport:
 # RLL relations
 # ---------------------------------------------------------------------------
 
-def _check_rll(check_id, params, d, u, v, L, m, norm, rep, budget) -> CheckReport:
+def _check_rll(check_id, params, d, u, v, L, q, norm, rep, budget) -> CheckReport:
     """R12(u-v) L13(u) L23(v) = L13(v) L23(u) R12(u-v) on (spinor, spinor,
     quantum), where ``L(basis, x)`` builds the L-operator on
-    (spinor (x) quantum) and m is the quantum dimension."""
+    (spinor (x) quantum) for the quantum representation q.  With lifts on
+    the quantum space, one row per orbit of the Weyl lifts streams."""
     basis = _basis(d)
     n = basis.dim
-    dims = [n, n, m]
     cap = budget_dim(budget)
-    if n * n * m >= cap:
-        return _skip(check_id, params, n * n * m, cap)
+    if n * n * q.m >= cap:
+        return _skip(check_id, params, n * n * q.m, cap)
     with _Timer() as t:
-        R12 = embed_pair(_spinor_R(d, u - v, norm, rep), (0, 1), dims)
+        R = _spinor_R(d, u - v, norm, rep)
         Lu, Lv = L(basis, u), L(basis, v)
-        lhs = R12 @ embed_pair(Lu, (0, 2), dims) @ embed_pair(Lv, (1, 2), dims)
-        rhs = embed_pair(Lv, (0, 2), dims) @ embed_pair(Lu, (1, 2), dims) @ R12
-        diff = lhs - rhs
+        diff = rll_first_row(R, Lu, Lv, n, q.m, basis.row_symmetry(q))
     return _exact_report(check_id, params, [("RLL", diff)], t,
                          convention="spectral placement u-v")
 
@@ -247,8 +246,9 @@ def check_rll_fundamental(d, u, v, norm=Normalization.PRODUCT_FORM,
     L-operator, on (spinor, spinor, defining)."""
     u, v = Fraction(u), Fraction(v)
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "norm": _fmt(norm), "rep": _fmt(rep)}
-    return _check_rll("rll_fundamental", params, d, u, v, fundamental_L0, d,
-                      norm, rep, budget)
+    _basis(d)  # rejects an unsupported d before the defining rep is built
+    return _check_rll("rll_fundamental", params, d, u, v, fundamental_L0,
+                      so_defining_rep(d), norm, rep, budget)
 
 
 def check_rll_quantum(d, u, v, q: QuantumRep, quantum_name="custom",
@@ -262,7 +262,7 @@ def check_rll_quantum(d, u, v, q: QuantumRep, quantum_name="custom",
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "quantum": quantum_name,
               "m": q.m, "norm": _fmt(norm), "rep": _fmt(rep)}
     return _check_rll("rll_quantum", params, d, u, v,
-                      lambda basis, x: quantum_L(basis, x, q), q.m, norm, rep, budget)
+                      lambda basis, x: quantum_L(basis, x, q), q, norm, rep, budget)
 
 
 def check_asym(q: QuantumRep, quantum_name="custom") -> CheckReport:

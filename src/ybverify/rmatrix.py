@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import GammaBasis, antisym_product, as_exp_components
-from .kernel import ExactScalar, SparseOperator, kron
+from .kernel import ExactScalar, SparseOperator, combination, kron
 
 
 class Normalization(enum.Enum):
@@ -284,28 +284,28 @@ def assemble_spinor_R(basis: GammaBasis, table: CoefficientTable,
     if table.d != basis.d:
         raise ValueError(f"table is for d={table.d}, basis for d={basis.d}")
     comps = as_exp_components(basis) if rep is RepChoice.PRIMED else None
-    dim2 = basis.dim * basis.dim
-    even = SparseOperator.zero(dim2)
-    odd = SparseOperator.zero(dim2)
-    for k in range(basis.d + 1):
-        coeff = table[k]
-        if not coeff:
-            continue
-        if comps is None:
-            term = basis.pair_contraction(k).scale(coeff)
-        else:
-            term = comps[k].scale(-coeff if (k * (k - 1) // 2) % 2 else coeff)
-        if k % 2 == 0:
-            even = even + term
-        else:
-            odd = odd + term
-    if rep is RepChoice.DOUBLE_PRIMED and not odd.is_zero():
-        odd = -(odd @ kron(SparseOperator.identity(basis.dim), basis.gamma5))
-    if parity is Parity.EVEN:
-        return even
-    if parity is Parity.ODD:
-        return odd
-    return even + odd
+
+    def part(ks):
+        # every scaled term in one grid, normalized once
+        terms = []
+        for k in ks:
+            coeff = table[k]
+            if not coeff:
+                continue
+            if comps is None:
+                terms.append((basis.pair_contraction(k), coeff))
+            else:
+                terms.append((comps[k], -coeff if (k * (k - 1) // 2) % 2 else coeff))
+        return combination(terms, basis.dim * basis.dim)
+
+    evens, odds = range(0, basis.d + 1, 2), range(1, basis.d + 1, 2)
+    if rep is RepChoice.DOUBLE_PRIMED and parity is not Parity.EVEN:
+        odd = part(odds)
+        if not odd.is_zero():
+            odd = -(odd @ kron(SparseOperator.identity(basis.dim), basis.gamma5))
+        return odd if parity is Parity.ODD else part(evens) + odd
+    return part({Parity.EVEN: evens, Parity.ODD: odds,
+                 Parity.FULL: range(basis.d + 1)}[parity])
 
 
 def projectors(basis: GammaBasis):
@@ -359,12 +359,16 @@ def fundamental_L0(basis: GammaBasis, u) -> SparseOperator:
 
 class QuantumRep:
     """Finite-dimensional so(d) representation: the antisymmetric generator
-    family M_ab on an m-dimensional quantum space."""
+    family M_ab on an m-dimensional quantum space W.  ``lifts``, if given,
+    are the images on W of ``GammaBasis.weyl_lifts()`` in the same order;
+    the RLL check then streams one row per orbit of their monomial action
+    (None: every row streams)."""
 
-    def __init__(self, d: int, m: int, gens):
+    def __init__(self, d: int, m: int, gens, lifts=None):
         self.d = d
         self.m = m
         self._gens = gens  # {(a, b): op} for a < b, 1-based
+        self.lifts = None if lifts is None else tuple(lifts)
 
     def gen(self, a: int, b: int) -> SparseOperator:
         if not (1 <= a <= self.d and 1 <= b <= self.d):
@@ -406,6 +410,11 @@ def so_defining_rep(d: int) -> QuantumRep:
     (The sign is fixed by requiring the stated so(d) brackets to hold
     exactly; the opposite sign satisfies them with a flipped structure
     constant.)
+
+    Its lifts are the images of the Weyl lifts: 1 + gamma_a gamma_c is a
+    multiple of exp(-i pi/2 M_ac) on spinors, and on this space
+    exp(-i pi/2 M_ac) is the rotation 1 - M_ac^2 - i M_ac, because
+    M_ac^3 = M_ac.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -415,17 +424,29 @@ def so_defining_rep(d: int) -> QuantumRep:
             gens[(a, b)] = SparseOperator.from_entries(
                 d, {(a - 1, b - 1): (0, 1), (b - 1, a - 1): (0, -1)}
             )
-    return QuantumRep(d, d, gens)
+    ident = SparseOperator.identity(d)
+
+    def rot(a, c):
+        M = gens[(a, c)]
+        return ident - M @ M - M.scale(ExactScalar(0, 1))
+
+    m = d // 2
+    lifts = [rot(2 * k - 1, 2 * k + 1) @ rot(2 * k, 2 * k + 2) for k in range(1, m)]
+    if m >= 2:
+        flip = rot(2 * m - 3, 2 * m - 1)
+        lifts.append(flip @ flip)
+    return QuantumRep(d, d, gens, lifts)
 
 
 def so_spinor_rep(basis: GammaBasis) -> QuantumRep:
-    """The spinor representation M_ab = (i/2) gamma_ab."""
+    """The spinor representation M_ab = (i/2) gamma_ab, whose lifts are the
+    Weyl lifts themselves."""
     half_i = ExactScalar(0, Fraction(1, 2))
     gens = {}
     for a in range(1, basis.d + 1):
         for b in range(a + 1, basis.d + 1):
             gens[(a, b)] = antisym_product(basis, (a, b)).scale(half_i)
-    return QuantumRep(basis.d, basis.dim, gens)
+    return QuantumRep(basis.d, basis.dim, gens, basis.weyl_lifts())
 
 
 def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
@@ -433,11 +454,9 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
     the double index sum runs over ordered pairs with weight 2."""
     if q.d != basis.d:
         raise ValueError(f"quantum rep is for d={q.d}, basis for d={basis.d}")
-    u = Fraction(u)
-    out = SparseOperator.identity(basis.dim * q.m).scale(u)
     half_i = ExactScalar(0, Fraction(1, 2))  # 2 * i/4
+    terms = [(SparseOperator.identity(basis.dim * q.m), Fraction(u))]
     for a in range(1, basis.d + 1):
         for b in range(a + 1, basis.d + 1):
-            gab = antisym_product(basis, (a, b)).scale(half_i)
-            out = out + kron(gab, q.gen(a, b))
-    return out
+            terms.append((kron(antisym_product(basis, (a, b)), q.gen(a, b)), half_i))
+    return combination(terms, basis.dim * q.m)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from ybverify import _core
-from ybverify.kernel import ExactScalar, SparseOperator, kron
+from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron
 
 
 def perm_sign(perm):
@@ -125,6 +125,29 @@ def streamed_yb(a, b, c, n, with_rhs=True):
     or its lhs alone, from ``_core.yb_rows`` driven over every row."""
     rows = _core.yb_rows(a._rows, b._rows, c._rows, n, range(n ** 3), with_rhs)
     return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
+
+
+def rll_sides(R, Lu, Lv, n, m):
+    """R12 Lu13 Lv23 and Lv13 Lu23 R12 on V (x) V (x) W, dim V = n and
+    dim W = m, from the embedded operators and stored sparse products: the
+    reference for the row stream ``kernel.rll_first_row``."""
+    dims = [n, n, m]
+    R12 = embed_pair(R, (0, 1), dims)
+    lhs = R12 @ embed_pair(Lu, (0, 2), dims) @ embed_pair(Lv, (1, 2), dims)
+    rhs = embed_pair(Lv, (0, 2), dims) @ embed_pair(Lu, (1, 2), dims) @ R12
+    return lhs, rhs
+
+
+def streamed_rll(R, Lu, Lv, n, m):
+    """The whole RLL residual R12 Lu13 Lv23 - Lv13 Lu23 R12 from
+    ``_core.chain_rows`` driven over every row of V (x) V (x) W."""
+    dims = [n, n, m]
+    R12 = embed_pair(R, (0, 1), dims)
+    lhs = (R12, embed_pair(Lu, (0, 2), dims), embed_pair(Lv, (1, 2), dims))
+    rhs = (embed_pair(Lv, (0, 2), dims), embed_pair(Lu, (1, 2), dims), R12)
+    rows = _core.chain_rows([op._rows for op in lhs], [op._rows for op in rhs],
+                            range(n * n * m))
+    return SparseOperator(n * n * m, dict(rows), R._den * Lu._den * Lv._den)
 
 
 def fundamental_L0_loop(basis, u):

@@ -8,7 +8,7 @@ import pytest
 
 import ybverify
 from ybverify import relations
-from ybverify.cli import main
+from ybverify.cli import console_main, main
 
 
 def run_cli(args, capsys):
@@ -314,6 +314,35 @@ def test_program_bug_is_not_a_verdict(monkeypatch):
     monkeypatch.setattr(relations, "check_unitarity", broken)
     with pytest.raises(TypeError, match="planted bug"):
         main(["run", "--all", "--d-list", "2"])
+
+
+def test_console_entry_exits_three_on_a_program_bug(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("planted bug")
+
+    monkeypatch.setattr(relations, "check_unitarity", broken)
+    assert console_main(["check", "unitarity", "--d", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "TypeError: planted bug" in captured.err
+    # verdicts and configuration errors keep their codes
+    assert console_main(["check", "ybe", "--d", "2"]) == 0
+    assert console_main(["check", "ybe", "--d", "4", "--perturb-k", "2"]) == 1
+    assert console_main(["check", "ybe", "--d", "3"]) == 2
+
+
+def test_module_entry_exits_three_on_a_program_bug():
+    script = ("import runpy, sys\n"
+              "from ybverify import relations\n"
+              "def broken(*args, **kwargs):\n"
+              "    raise TypeError('planted bug')\n"
+              "relations.check_unitarity = broken\n"
+              "sys.argv = ['ybv', 'check', 'unitarity', '--d', '2']\n"
+              "runpy.run_module('ybverify.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "TypeError: planted bug" in proc.stderr
 
 
 def test_key_error_bug_is_not_a_config_error(monkeypatch):

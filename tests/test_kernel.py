@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, embed_pair,
-                             kron, yb_first_row)
+from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, combination,
+                             embed_pair, kron, rll_first_row, yb_first_row)
 
-from helpers import dense_kron, dense_mul, rand_operator, streamed_yb, yb_sides
+from helpers import (dense_kron, dense_mul, rand_operator, rll_sides, streamed_rll,
+                     streamed_yb, yb_sides)
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 scalars = st.builds(ExactScalar, fractions, fractions)
@@ -235,6 +236,57 @@ def test_yb_stream_matches_kron_chain(operands):
         assert first.first_nonzero() == full.first_nonzero()
 
 
+@st.composite
+def rll_operands(draw):
+    """n, m, R on V (x) V and Lu, Lv on V (x) W with dim V = n, dim W = m."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def operator(dim):
+        index = st.integers(0, dim - 1)
+        cells = st.dictionaries(st.tuples(index, index),
+                                st.builds(ExactScalar, yb_parts, yb_parts),
+                                max_size=dim * dim)
+        return SparseOperator.from_entries(dim, draw(cells))
+
+    return n, m, operator(n * n), operator(n * m), operator(n * m)
+
+
+@given(rll_operands())
+@settings(deadline=None)
+def test_rll_stream_matches_materialized_chain(operands):
+    n, m, R, Lu, Lv = operands
+    lhs, rhs = rll_sides(R, Lu, Lv, n, m)
+    assert streamed_rll(R, Lu, Lv, n, m) == lhs - rhs
+    first = rll_first_row(R, Lu, Lv, n, m)
+    assert first.is_zero() == (lhs - rhs).is_zero()
+    assert first.first_nonzero() == (lhs - rhs).first_nonzero()
+
+
+def test_rll_first_row_dimension_mismatch():
+    a, b = SparseOperator.identity(4), SparseOperator.identity(6)
+    with pytest.raises(ValueError):
+        rll_first_row(a, b, a, 2, 3)
+    with pytest.raises(ValueError):
+        rll_first_row(a, b, b, 2, 3, RowSymmetry(((),) * 3, (2, 2, 2)))
+    # both V slots must carry the same lifts
+    swap, ident = _SWAP, SparseOperator.identity(2)
+    sym = RowSymmetry([[swap], [ident], [SparseOperator.identity(3)]], (2, 2, 3))
+    with pytest.raises(ValueError):
+        rll_first_row(a, b, b, 2, 3, sym)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), scalars), max_size=5))
+@settings(deadline=None)
+def test_combination_matches_scaled_sums(terms):
+    ops = [rand_operator(random.Random(seed), 4, 6) for seed in range(3)]
+    want = SparseOperator.zero(4)
+    for i, c in terms:
+        want = want + ops[i].scale(c)
+    assert combination([(ops[i], c) for i, c in terms], 4) == want
+    with pytest.raises(ValueError):
+        combination([(SparseOperator.identity(2), 1)], 4)
+
+
 def test_yb_difference_dimension_mismatch():
     a = SparseOperator.identity(4)
     with pytest.raises(ValueError):
@@ -242,7 +294,7 @@ def test_yb_difference_dimension_mismatch():
     with pytest.raises(ValueError):
         yb_first_row(a, a, a, 3, with_rhs=False)
     with pytest.raises(ValueError):
-        yb_first_row(a, a, a, 2, RowSymmetry((), 3))
+        yb_first_row(a, a, a, 2, RowSymmetry(((),) * 3, (3, 3, 3)))
 
 
 # --- monomial row symmetry ---------------------------------------------------
@@ -257,25 +309,27 @@ _SWAP = SparseOperator.from_entries(2, {(0, 1): 1, (1, 0): -1})   # a signed swa
 ])
 def test_row_symmetry_rejects_non_monomial(entries):
     with pytest.raises(ValueError):
-        RowSymmetry([SparseOperator.from_entries(2, entries)], 2)
+        RowSymmetry([[SparseOperator.from_entries(2, entries)]] * 3, (2, 2, 2))
 
 
 def test_row_symmetry_orbits():
     # no lift: every row is its own orbit; the swap s pairs (i, j, k) with
     # (1-i, 1-j, 1-k)
-    assert RowSymmetry((), 2).rows == tuple(range(8))
-    assert RowSymmetry([_SWAP], 2).rows == (0, 1, 2, 3)
+    assert RowSymmetry(((),) * 3, (2, 2, 2)).rows == tuple(range(8))
+    assert RowSymmetry([[_SWAP]] * 3, (2, 2, 2)).rows == (0, 1, 2, 3)
 
 
 def test_row_symmetry_certificate_is_exact():
-    sym = RowSymmetry([_SWAP.scale(2)], 2)
+    sym = RowSymmetry([[_SWAP.scale(2)]] * 3, (2, 2, 2))
     ident = SparseOperator.identity(4)
     flip = SparseOperator.from_entries(4, {(0, 3): 1, (3, 0): 1, (1, 2): 1, (2, 1): 1})
     gg = kron(_SWAP, _SWAP)
-    assert sym.certifies(ident, gg, flip)
+    assert sym.certifies((0, 1), ident, gg, flip)
     # g (x) g maps (0, 1) to (3, 2) with phase -1: the partner entry must
     # match it exactly
     planted = SparseOperator.from_entries(4, {(0, 1): 1, (3, 2): -1})
-    assert sym.certifies(planted)
+    assert sym.certifies((0, 1), planted)
     for partner in ({}, {(3, 2): 1}, {(3, 2): ExactScalar(0, -1)}):
-        assert not sym.certifies(SparseOperator.from_entries(4, {(0, 1): 1, **partner}))
+        assert not sym.certifies((0, 1), SparseOperator.from_entries(4, {(0, 1): 1, **partner}))
+    with pytest.raises(ValueError):
+        sym.certifies((0, 2), SparseOperator.identity(2))

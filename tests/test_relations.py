@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from ybverify import clifford, rmatrix
 from ybverify import relations as rel
-from ybverify.kernel import ExactScalar, SparseOperator, yb_first_row
+from ybverify.kernel import ExactScalar, SparseOperator, kron, rll_first_row, yb_first_row
 from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               fundamental_R0, so_defining_rep, so_spinor_rep)
 
-from helpers import (brute_as_exponential, brute_graded_generators, streamed_yb,
-                     yb_sides)
+from helpers import (brute_as_exponential, brute_graded_generators, rll_sides,
+                     streamed_yb, yb_sides)
 
 U, V = Fraction(1, 2), Fraction(1, 3)
 LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
@@ -304,7 +304,7 @@ def test_yb_stream_matches_kron_chain_on_relation_operands(kind, d):
     assert streamed_yb(a, b, c, n, with_rhs=False) == lhs
     if kind != "fundamental":
         symmetry = rel._basis(d).row_symmetry()
-        assert symmetry.certifies(a, b, c)
+        assert symmetry.certifies((0, 1), a, b, c)
         assert yb_first_row(a, b, c, n, symmetry).first_nonzero() == (lhs - rhs).first_nonzero()
         assert (yb_first_row(a, b, c, n, symmetry, with_rhs=False).first_nonzero()
                 == lhs.first_nonzero())
@@ -485,7 +485,7 @@ def test_ybe_planted_entry_falls_back_to_ordered_stream(planted_entry, d, value)
     # the extra entry (0,1) is not invariant, so the certificate fails and
     # every row streams in order: the FAIL is the full residual's
     operands = _spinor_triple(d)
-    assert not rel._basis(d).row_symmetry().certifies(*operands)
+    assert not rel._basis(d).row_symmetry().certifies((0, 1), *operands)
     report = rel.check_ybe(d, U, V)
     assert report.detail == f"YBE: first residual {value} at entry (0,1)"
     assert report.detail == _ybe_detail(*operands, 2 ** (d // 2))
@@ -525,3 +525,145 @@ def test_orbit_reduced_first_row_matches_kron_chain(case):
     assert yb_first_row(a, b, c, n, symmetry).first_nonzero() == (lhs - rhs).first_nonzero()
     assert (yb_first_row(a, b, c, n, symmetry, with_rhs=False).first_nonzero()
             == lhs.first_nonzero())
+
+
+# --- the RLL relation on one row per orbit ----------------------------------
+
+def _quantum(d, name):
+    return so_defining_rep(d) if name == "defining" else so_spinor_rep(rel._basis(d))
+
+
+@pytest.mark.parametrize("name,d,orbits", [("defining", 4, 16), ("defining", 6, 24),
+                                           ("defining", 8, 32), ("spinor", 4, 20),
+                                           ("spinor", 6, 40), ("spinor", 8, 70)])
+def test_quantum_lifts_are_monomial_and_certify_quantum_L(name, d, orbits):
+    basis = rel._basis(d)
+    q = _quantum(d, name)
+    assert len(q.lifts) == len(basis.weyl_lifts())
+    for g in q.lifts:
+        # a signed permutation (times 2 for the spinor w_k)
+        assert sorted(c for (_, c), _v in g.items()) == list(range(q.m))
+        assert len({r for (r, _), _v in g.items()}) == q.m
+        assert {v for _, v in g.items()} <= {ExactScalar(s) for s in (1, -1, 2, -2)}
+    symmetry = basis.row_symmetry(q)
+    assert symmetry.dims == (basis.dim, basis.dim, q.m)
+    assert len(symmetry.rows) == orbits
+    assert symmetry.certifies((0, 2), *(rmatrix.quantum_L(basis, x, q) for x in (0, U, V)))
+
+
+def _sign_flipped(q):
+    """q with the sign of one entry of its first lift flipped: the lift stays
+    monomial but is no longer a symmetry of the L-operator."""
+    g = q.lifts[0]
+    (r, c), value = next(g.items())
+    flipped = g - SparseOperator.from_entries(g.dim, {(r, c): value * 2})
+    return rmatrix.QuantumRep(q.d, q.m, q._gens, (flipped, *q.lifts[1:]))
+
+
+@pytest.mark.parametrize("name,d,detail", [
+    ("defining", 4, "spectral placement u-v"),
+    ("defining", 6, "spectral placement u-v"),
+    ("spinor", 6, "RLL: first residual 7/4 at entry (35,280)")])
+def test_sign_flipped_lift_falls_back_to_ordered_stream(name, d, detail):
+    basis = rel._basis(d)
+    q = _quantum(d, name)
+    flipped = _sign_flipped(q)
+    assert not basis.row_symmetry(flipped).certifies(
+        (0, 2), rmatrix.quantum_L(basis, U, flipped))
+    want = rel.check_rll_quantum(d, U, V, q, name)
+    got = rel.check_rll_quantum(d, U, V, flipped, name)
+    assert got.detail == want.detail == detail
+    assert got.to_json_dict(with_timing=False) == want.to_json_dict(with_timing=False)
+
+
+@pytest.mark.parametrize("name,d,operand,cell,row", [
+    ("defining", 4, "R", 5, 16), ("spinor", 4, "L", 3, 7),
+    ("defining", 6, "L", 12, 12), ("spinor", 6, "R", 2, 2)])
+def test_rll_planted_entry_falls_back_to_ordered_stream(monkeypatch, name, d, operand,
+                                                        cell, row):
+    # an extra diagonal entry breaks the certificate, and the first residual
+    # then sits on a row that is no orbit minimum: only the ordered stream
+    # finds it
+    def planted(build):
+        def build_planted(*args, **kwargs):
+            op = build(*args, **kwargs)
+            return op + SparseOperator.from_entries(op.dim, {(cell, cell): 1})
+        return build_planted
+
+    if operand == "R":
+        monkeypatch.setattr(rel, "_spinor_R", planted(rel._spinor_R))
+    else:
+        monkeypatch.setattr(rel, "quantum_L", planted(rmatrix.quantum_L))
+    basis, q = rel._basis(d), _quantum(d, name)
+    R = rel._spinor_R(d, U - V, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
+    Lu, Lv = rel.quantum_L(basis, U, q), rel.quantum_L(basis, V, q)
+    lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
+    (r, c), value = (lhs - rhs).first_nonzero()
+    assert r == row and row not in basis.row_symmetry(q).rows
+    report = rel.check_rll_quantum(d, U, V, q, name)
+    assert report.detail == f"RLL: first residual {value} at entry ({r},{c})"
+
+
+def test_fresh_quantum_reps_share_one_cached_symmetry():
+    # a long-running caller may build a fresh defining rep for every check;
+    # the symmetry cache is keyed by the lifts' value, so it does not grow
+    basis = rel._basis(4)
+    rel.check_rll_quantum(4, Fraction(1), V, so_defining_rep(4), "defining")
+    size = len(basis._symmetries)
+    for _ in range(50):
+        assert rel.check_rll_quantum(4, Fraction(1), V, so_defining_rep(4), "defining").passed
+    assert len(basis._symmetries) == size
+
+
+_small = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def rll_operands(draw):
+    """d, the quantum rep, and (R, Lu, Lv) with each L = x + c X, X = L(0)
+    the generator part, and R = sum_k c_k S_k: either random c_k, or those
+    of R((x_u - x_v)/c), for which the relation holds on the defining rep
+    (Lu, Lv are c L(x_u/c) and c L(x_v/c)).  Then optionally one operand
+    shifted by an invariant term on the negative-chirality half of the
+    first slot, which keeps the certificate and moves the first residual
+    row there, and one operand with an extra entry at a random place,
+    which breaks the certificate."""
+    d = draw(st.sampled_from([4, 6]))
+    q = _quantum(d, draw(st.sampled_from(["defining", "spinor"])))
+    basis = rel._basis(d)
+    xu, xv = draw(_small), draw(_small)
+    c = draw(_small.filter(bool))
+    X = rmatrix.quantum_L(basis, 0, q)
+    ident = SparseOperator.identity(X.dim)
+    if draw(st.booleans()):
+        table = rmatrix.coefficients(d, (xu - xv) / c, Normalization.PRODUCT_FORM)
+        coeffs = [-table[k] if (k * (k - 1) // 2) % 2 else table[k] for k in range(d + 1)]
+    else:
+        coeffs = [draw(_gauss) for _ in range(d + 1)]
+    comps = clifford.as_exp_components(basis)
+    ops = [sum((comp.scale(ck) for comp, ck in zip(comps, coeffs)),
+               SparseOperator.zero(basis.dim ** 2)),
+           ident.scale(xu) + X.scale(c), ident.scale(xv) + X.scale(c)]
+    _, minus = rmatrix.weyl_projectors(basis)
+    shifted = draw(st.sampled_from([None, 0, 1, 2]))
+    if shifted is not None:
+        other = minus if shifted == 0 else SparseOperator.identity(q.m)
+        ops[shifted] = ops[shifted] + kron(minus, other).scale(draw(_gauss))
+    planted = draw(st.sampled_from([None, 0, 1, 2]))
+    if planted is not None:
+        dim = ops[planted].dim
+        cell = st.integers(0, dim - 1)
+        ops[planted] = ops[planted] + SparseOperator.from_entries(
+            dim, {(draw(cell), draw(cell)): draw(_gauss)})
+    return basis, q, ops
+
+
+@given(rll_operands())
+@settings(deadline=None, max_examples=30)
+def test_orbit_reduced_rll_first_row_matches_materialized_chain(case):
+    basis, q, (R, Lu, Lv) = case
+    lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
+    want = (lhs - rhs).first_nonzero()
+    symmetry = basis.row_symmetry(q)
+    assert rll_first_row(R, Lu, Lv, basis.dim, q.m, symmetry).first_nonzero() == want
+    assert rll_first_row(R, Lu, Lv, basis.dim, q.m).first_nonzero() == want
