@@ -108,8 +108,8 @@ def _run_named_check(args) -> list[CheckReport]:
                 report.params["seed"] = seed
                 out.append(report)
         return out
-    # numpy (localyb) and scipy (quadrature) are imported in the branches of
-    # the float checks, so exact-only commands never load them; every check
+    # localyb (numpy) and quadrature are imported in the branches of the
+    # float checks, so exact-only commands never load them; every check
     # below is a quadrature check
     from . import quadrature
 

@@ -6,8 +6,8 @@ only ``ybv check triple_integral`` runs.
 Half-line integrals are mapped to a finite interval through x = tan(theta);
 an integrable x^(u-1) endpoint singularity is removed first by substituting
 x = w^(1/u) (the whole half-line version of the first-panel substitution).
-Adaptive subdivision itself is delegated to scipy's QUADPACK wrappers behind
-this module's interface.
+Every integral on a finite interval goes to the adaptive 21-point
+Gauss-Kronrod rule of ``ybverify.integrate``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
+from . import integrate
 from .relations import CheckReport, Status, _Timer
 
 
@@ -32,9 +31,9 @@ SLOW_SPEC = QuadratureSpec(abs_tol=1e-4, rel_tol=1e-3, max_subdivisions=40)
 
 
 def _quad(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    """integral_a^b f(x) dx by adaptive QUADPACK under the tolerances and
-    subdivision limit of ``spec``; looked up as ``integrate.quad`` at each
-    call, so a wrapper installed there sees every integral."""
+    """integral_a^b f(x) dx by the adaptive Gauss-Kronrod rule under the
+    tolerances and panel limit of ``spec``; looked up as ``integrate.quad``
+    at each call, so a wrapper installed there sees every integral."""
     val, _ = integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                             limit=spec.max_subdivisions)
     return val

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .clifford import GammaBasis, antisym_product, as_exp_components
 from .kernel import ExactScalar, SparseOperator, combination, kron
@@ -404,6 +405,7 @@ class QuantumRep:
         return f"QuantumRep(d={self.d}, m={self.m})"
 
 
+@lru_cache(maxsize=None)
 def so_defining_rep(d: int) -> QuantumRep:
     """The defining d-dimensional representation, (M_ab)_ce = i(d_ac d_be - d_bc d_ae).
 
@@ -415,6 +417,9 @@ def so_defining_rep(d: int) -> QuantumRep:
     multiple of exp(-i pi/2 M_ac) on spinors, and on this space
     exp(-i pi/2 M_ac) is the rotation 1 - M_ac^2 - i M_ac, because
     M_ac^3 = M_ac.
+
+    Cached by d: a ``QuantumRep`` is never modified after construction and
+    its operators are immutable, so every caller may share one instance.
     """
     if d < 2:
         raise ValueError("d must be at least 2")

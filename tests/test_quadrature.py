@@ -1,9 +1,12 @@
+import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ybverify import quadrature as quad
+from ybverify import integrate, quadrature as quad
+from ybverify.cli import default_suite, main
 from ybverify.rmatrix import Normalization, coefficients_closed_form
 
 
@@ -64,6 +67,99 @@ def test_beta_integral_matches_exact_ratio_times_base():
         got = quad.beta_coefficient_integral(d, float(u), k, "even")
         ratio = table[2 * k].to_complex().real * (-1) ** k  # strip the (-1)^k sign
         assert abs(got - ratio * base) < 1e-8 * abs(got), k
+
+
+# --- the adaptive Gauss-Kronrod rule -------------------------------------------
+
+TOL = dict(epsabs=quad.DEFAULT_SPEC.abs_tol, epsrel=quad.DEFAULT_SPEC.rel_tol)
+
+
+def counted(f):
+    """f with a call counter in ``calls[0]``."""
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+    return g, calls
+
+
+@pytest.mark.parametrize("degree", range(32))
+def test_one_panel_integrates_degree_31_exactly(degree):
+    # the 21-point Kronrod rule is exact to degree 3*10 + 1 = 31
+    f, calls = counted(lambda x: x ** degree)
+    got, _err = integrate.quad(f, -1.0, 2.0, limit=1, **TOL)
+    want = (2.0 ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+    assert abs(got - want) <= 8 * sys.float_info.epsilon * abs(want), degree
+    assert calls[0] == 21
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 3.0), (1.5, 2.5), (3.5, 1.25), (0.75, 4.0)])
+def test_quad_beta_values_match_gamma(a, b):
+    want = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    got, _err = integrate.quad(lambda x: x ** (a - 1) * (1 - x) ** (b - 1), 0.0, 1.0,
+                               limit=quad.DEFAULT_SPEC.max_subdivisions, **TOL)
+    assert abs(got - want) <= max(TOL["epsabs"], TOL["epsrel"] * want), (a, b)
+    # integral_0^inf y^(m-1) (1+y^2)^(-p) dy = B(m/2, p - m/2) / 2
+    m, p = 2 * a, a + b
+    assert abs(quad._beta_halfline(m, p) - want / 2) <= 1e-10 * want, (a, b)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5, 50])
+def test_quad_honours_the_panel_limit(limit):
+    # sin(1/x) oscillates without end towards 0, so the tolerance is never met
+    f, calls = counted(lambda x: math.sin(1 / x))
+    value, err = integrate.quad(f, 0.0, 1.0, limit=limit, **TOL)
+    assert calls[0] <= 21 * (2 * limit - 1)
+    assert math.isfinite(value) and err > TOL["epsabs"]
+
+
+def test_quad_nan_integrand_ends_and_fails_the_check(monkeypatch, capsys, tmp_path):
+    f, calls = counted(lambda x: math.nan)
+    value, _err = integrate.quad(f, 0.0, 1.0, limit=200, **TOL)
+    assert math.isnan(value) and calls[0] == 21
+    with pytest.raises(ArithmeticError):
+        quad._finite(value, "integral")
+    # a NaN inside a suite job is a FAIL line, not a crash
+    real = integrate.quad
+    monkeypatch.setattr(integrate, "quad",
+                        lambda f, *args, **kwargs: real(lambda x: math.nan, *args, **kwargs))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"check": "beta_integral", "params": {"d": 2}}]))
+    assert main(["run", "--suite", str(suite)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert report["detail"] == ("error: beta coefficient integral evaluated to a "
+                                "non-finite value nan")
+
+
+def _suite_float_jobs():
+    checks = {"beta_integral": quad.check_beta_integral, "rfun": quad.check_rfun,
+              "unitarity_integral": quad.check_unitarity_integral}
+    for name, params in default_suite([2, 4, 6]):
+        if name in checks:
+            args = {k: float(v) if k == "u" else v for k, v in params.items()}
+            yield checks[name], args
+
+
+def test_quad_agrees_with_quadpack_on_the_suite_integrands(monkeypatch):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    calls = []
+    real = integrate.quad
+
+    def recording(f, a, b, **kwargs):
+        calls.append((f, a, b, kwargs))
+        return real(f, a, b, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", recording)
+    for check, args in _suite_float_jobs():
+        assert check(**args).passed, (check.__name__, args)
+    assert calls
+    spec = quad.DEFAULT_SPEC
+    for f, a, b, kwargs in calls:
+        ours, _ = real(f, a, b, **kwargs)
+        ref, _ = scipy_integrate.quad(f, a, b, **kwargs)
+        assert abs(ours - ref) <= max(spec.abs_tol, spec.rel_tol * abs(ref)), (a, b, ours, ref)
 
 
 # --- generating-function reconstruction --------------------------------------

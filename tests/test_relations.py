@@ -150,6 +150,22 @@ def test_rll_fundamental_equal_points():
     assert rel.check_rll_fundamental(4, Fraction(1, 2), Fraction(1, 2)).passed
 
 
+def test_defining_rep_is_built_once_per_d():
+    # one instance per d, shared by every check and left as built, so
+    # verdicts and details do not depend on what ran before
+    q = so_defining_rep(6)
+    assert so_defining_rep(6) is q
+    misses = so_defining_rep.cache_info().misses
+    first = rel.check_rll_fundamental(6, Fraction(1), Fraction(1, 2))
+    again = rel.check_rll_fundamental(6, Fraction(1), Fraction(1, 2))
+    assert so_defining_rep.cache_info().misses == misses
+    assert first.passed and (again.status, again.detail) == (first.status, first.detail)
+    fresh = so_defining_rep.__wrapped__(6)
+    pairs = [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+    assert [q.gen(a, b) for a, b in pairs] == [fresh.gen(a, b) for a, b in pairs]
+    assert q.lifts == fresh.lifts
+
+
 def test_rll_quantum_defining():
     for d in (4, 6):
         q = so_defining_rep(d)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import shutil
@@ -60,5 +61,36 @@ def test_traced_suite_records_every_span(tmp_path):
          "run", "--all", "--d-list", "2"],
         cwd=ROOT, env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    _counters, trace = spans.read(out)
+    counters, trace = spans.read(out)
     assert spans.span_names() - spans.spans_seen(trace) == set()
+    assert counters["quad_evals"] > 0
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_source_module_imports_scipy():
+    # quadrature runs on the in-house Gauss-Kronrod rule
+    sources = sorted((ROOT / "src" / "ybverify").glob("*.py"))
+    assert sources
+    offenders = {path.name: name for path in sources for name in _imported_modules(path)
+                 if name.split(".")[0] == "scipy"}
+    assert offenders == {}
+
+
+def test_full_suite_runs_without_scipy():
+    script = ("import sys\n"
+              "import ybverify.cli\n"
+              "code = ybverify.cli.main(['run', '--all', '--d-list', '2'])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code,\n"
+              "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert '"check": "beta_integral"' in proc.stdout
+    assert proc.stderr.splitlines()[-1] == "[] 0"
