@@ -5,16 +5,17 @@ directory; the change is the working tree of this checkout.  Each pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each checkout, alternating which side goes first.  The record holds,
-for every end-to-end metric of BENCHMARK.json, each side's runs, median and
-quartiles and the number of pairs the change won (ties count for neither
-side), with the CPU count and the Python and numpy versions (scipy too when
-installed).  A run that prints no result, or whose outputs perfbench found
-wrong, stops the script with exit 1.
+once in each checkout, alternating which side goes first; T is the
+``run_seconds`` of BENCHMARK.json.  The record holds, for every end-to-end
+metric of BENCHMARK.json, each side's runs, median and quartiles and the
+number of pairs the change won (ties count for neither side); whether the
+gain claimed on ``suite_s_p50`` holds; and the CPU count and the Python and
+numpy versions (scipy too when installed).  A run that prints no result, or
+whose outputs perfbench found wrong, stops the script with exit 1.
 
 Usage: python3 benchmarks/bench.py --base REV [--workload suite_cold]
-       [--seed 1] [--pairs 10] [--seconds 30] [--claim suite_s_p50]
-       [--workdir DIR] [--out benchmarks/BENCH_<workload>.json]
+       [--seed 1] [--pairs 10] [--workdir DIR]
+       [--out benchmarks/BENCH_<workload>.json]
 """
 
 import argparse
@@ -29,6 +30,7 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLAIM = "suite_s_p50"
 
 
 def git(*args):
@@ -43,10 +45,10 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(checkout, args):
+def run_once(checkout, args, seconds):
     """The result line of one untraced perfbench run in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -76,16 +78,14 @@ def main(argv=None):
     ap.add_argument("--workload", default="suite_cold")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--claim", default="suite_s_p50", help="the metric a gain is claimed on")
     ap.add_argument("--workdir", help="where the parent is exported (default: a temp dir)")
     ap.add_argument("--out", help="default: benchmarks/BENCH_<workload>.json")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
-    spec = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    if args.claim not in spec:
-        ap.error(f"--claim must be one of {', '.join(spec)}")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    spec = {m["name"]: m for m in benchmark["end_to_end"]}
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as parent:
         export(args.base, parent)
@@ -93,9 +93,9 @@ def main(argv=None):
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(parent if side == "parent" else ROOT, args))
+                runs[side].append(run_once(parent if side == "parent" else ROOT, args, seconds))
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{side} {runs[side][-1][args.claim]:.4g}" for side in order), file=sys.stderr)
+                f"{side} {runs[side][-1][CLAIM]:.4g}" for side in order), file=sys.stderr)
 
     metrics = {}
     for name, m in spec.items():
@@ -108,17 +108,17 @@ def main(argv=None):
             "wins": sum((b < a) if lower else (b > a) for a, b in zip(old, new)),
             "ties": sum(a == b for a, b in zip(old, new)),
         }
-    claimed = metrics[args.claim]
+    claimed = metrics[CLAIM]
     gap = claimed["parent"]["median"] - claimed["change"]["median"]
     record = {
         "bench": f"perfbench {args.workload}, interleaved parent/change pairs",
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD"),
         "head_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": version("numpy"), "scipy": version("scipy"),
-        "claim": {"metric": args.claim, "wins": claimed["wins"], "pairs": args.pairs,
+        "claim": {"metric": CLAIM, "wins": claimed["wins"], "pairs": args.pairs,
                   "median_gap": gap if claimed["better"] == "lower" else -gap,
                   "parent_iqr": claimed["parent"]["iqr"]},
         "metrics": metrics,

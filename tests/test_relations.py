@@ -623,11 +623,14 @@ def test_rll_planted_entry_falls_back_to_ordered_stream(monkeypatch, name, d, op
 def test_fresh_quantum_reps_share_one_cached_symmetry():
     # a long-running caller may build a fresh defining rep for every check;
     # the symmetry cache is keyed by the lifts' value, so it does not grow
+    # (so_defining_rep is cached, so the fresh reps bypass its cache)
     basis = rel._basis(4)
     rel.check_rll_quantum(4, Fraction(1), V, so_defining_rep(4), "defining")
     size = len(basis._symmetries)
-    for _ in range(50):
-        assert rel.check_rll_quantum(4, Fraction(1), V, so_defining_rep(4), "defining").passed
+    reps = [so_defining_rep.__wrapped__(4) for _ in range(50)]
+    assert len({id(q) for q in reps}) == len(reps)
+    for q in reps:
+        assert rel.check_rll_quantum(4, Fraction(1), V, q, "defining").passed
     assert len(basis._symmetries) == size
 
 
