@@ -126,13 +126,13 @@ def _run_named_check(args) -> list[CheckReport]:
     raise ValueError(f"unknown check {check_id!r}")
 
 
+FLOAT_CHECK_IDS = ("local_ybe", "integrand_symmetry", "beta_integral", "rfun",
+                   "unitarity_integral", "triple_integral")
 CHECK_IDS = (
     "ybe", "three_term", "fundamental_ybe", "rll_fundamental", "rll_quantum",
     "asym", "unitarity", "symmetries", "epsilon_projector_limit",
-    "d6_reduction", "exchange_identities", "generating_product", "local_ybe",
-    "integrand_symmetry", "beta_integral", "rfun", "unitarity_integral",
-    "triple_integral",
-)
+    "d6_reduction", "exchange_identities", "generating_product",
+) + FLOAT_CHECK_IDS
 
 
 def default_suite(d_list) -> list[tuple[str, dict]]:
@@ -170,9 +170,7 @@ def _parse_jobs(jobs, base) -> list:
     command line ``id --key=value ...``, starting from a copy of the ``run``
     options ``base``: an option the job does not set keeps the value ``run``
     gave.  Returns (parsed options, params) pairs."""
-    parser = argparse.ArgumentParser(prog="ybv check", add_help=False,
-                                     allow_abbrev=False, exit_on_error=False)
-    _add_job_options(parser, check=True)
+    parser = _job_parser()
     keys = {option[2:].replace("-", "_") for option in parser._option_string_actions}
     parsed = []
     for check_id, params in jobs:
@@ -189,12 +187,23 @@ def _parse_jobs(jobs, base) -> list:
     return parsed
 
 
-def _execute(args, params):
+def _job_parser():
+    parser = argparse.ArgumentParser(prog="ybv check", add_help=False,
+                                     allow_abbrev=False, exit_on_error=False)
+    _add_job_options(parser, check=True)
+    return parser
+
+
+def _execute(args, params, errors=(PoleError, ArithmeticError)):
+    """The reports of one job; an exception in ``errors`` (the job's point is
+    a pole, or a value there is not finite) becomes a FAIL line with the
+    job's ``params``."""
     try:
         return _run_named_check(args)
-    except (PoleError, ArithmeticError) as exc:  # the job's point is a pole or non-finite
+    except errors as exc:
         return [CheckReport(args.id, {k: str(v) for k, v in params.items()},
-                            Status.FAIL, detail=f"error: {exc}")]
+                            Status.FAIL, exact=args.id not in FLOAT_CHECK_IDS,
+                            detail=f"error: {exc}")]
 
 
 def _emit(reports, args) -> int:
@@ -354,7 +363,12 @@ def main(argv=None) -> int:
         if args.command == "dump":
             return _dump(args)
         if args.command == "check":
-            reports = _run_named_check(args)
+            # a pole of a single check is a configuration error; the params
+            # of a FAIL line are the options set away from their defaults
+            defaults = vars(_job_parser().parse_args([args.id]))
+            params = {k: v for k, v in vars(args).items()
+                      if k in defaults and v != defaults[k]}
+            reports = _execute(args, params, ArithmeticError)
         else:
             if args.suite:
                 jobs = _suite_from_file(args.suite)

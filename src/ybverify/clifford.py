@@ -10,7 +10,6 @@ matrix is diag(+1...,-1...) with the +1 block first.  Entries stay in
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .kernel import ExactScalar, RowSymmetry, SparseOperator, kron
 
@@ -36,7 +35,7 @@ class GammaBasis:
         self.gammas = tuple(gammas)
         self.gamma5 = gamma5
         self.alpha = alpha
-        self._contractions = {}
+        self._contractions = None  # the pair contractions T_0..T_d
         self._antisym = {}
         self._components = None  # the As-components S_0..S_d
         self._lifts = None
@@ -48,29 +47,20 @@ class GammaBasis:
             raise ValueError(f"gamma index {a} outside 1..{self.d}")
         return self.gammas[a - 1]
 
-    def antisym_mask(self, mask: int) -> SparseOperator:
-        """Gamma_A for the bitmask A (bit a-1 set = index a included)."""
-        cached = self._antisym.get(mask)
-        if cached is None:
-            cached = _ordered_product(self, mask)
-            self._antisym[mask] = cached
-        return cached
-
     def pair_contraction(self, k: int) -> SparseOperator:
-        """T_k = sum over |A| = k of gamma_A (x) gamma^A (subset sum, which
-        equals the (1/k!)-weighted ordered multi-index sum)."""
-        cached = self._contractions.get(k)
-        if cached is None:
-            acc = SparseOperator.zero(self.dim * self.dim)
-            for A in combinations(range(self.d), k):
-                mask = 0
-                for a in A:
-                    mask |= 1 << a
-                g = self.antisym_mask(mask)
-                acc = acc + kron(g, g)
-            cached = acc
-            self._contractions[k] = cached
-        return cached
+        """T_k = sum over |A| = k of gamma_A (x) gamma_A, k = 0..d.
+
+        gamma_A (x) gamma_A is the product of X_a = gamma_a (x) gamma_a over
+        a in A, and the X_a are d commuting involutions, so
+        sum_k t^k T_k = prod_a (1 + t X_a): T_k is the k-th elementary
+        symmetric polynomial of X_1..X_d.  All d + 1 are built at the first
+        call."""
+        if not 0 <= k <= self.d:
+            raise ValueError(f"grade {k} outside 0..{self.d}")
+        if self._contractions is None:
+            self._contractions = _elementary([kron(g, g) for g in self.gammas],
+                                             self.dim * self.dim)
+        return self._contractions[k]
 
     def weyl_lifts(self) -> tuple:
         """Monomial lifts to Spin(d) of generators of the Weyl group of
@@ -116,15 +106,15 @@ class GammaBasis:
         return f"GammaBasis(d={self.d}, dim={self.dim})"
 
 
-def _ordered_product(basis, mask):
-    out = SparseOperator.identity(basis.dim)
-    a = 0
-    while mask:
-        if mask & 1:
-            out = out @ basis.gammas[a]
-        mask >>= 1
-        a += 1
-    return out
+def _elementary(factors, dim):
+    """The elementary symmetric polynomials e_0..e_n of n commuting
+    operators, the coefficients of prod_a (1 + t X_a): multiplying by one
+    more factor X sends e_k to e_k + X e_(k-1), from the top k down."""
+    e = [SparseOperator.identity(dim)] + [SparseOperator.zero(dim)] * len(factors)
+    for n, x in enumerate(factors, 1):
+        for k in range(n, 0, -1):
+            e[k] = e[k] + x @ e[k - 1]
+    return tuple(e)
 
 
 def build_gamma(d: int, max_d: int = DEFAULT_MAX_D) -> GammaBasis:
@@ -165,18 +155,21 @@ def _i_power(n):
 
 
 def antisym_product(basis: GammaBasis, indices) -> SparseOperator:
-    """Gamma_A as the ordered product over ascending distinct indices (1-based).
+    """Gamma_A as the ordered product over ascending distinct indices
+    (1-based), cached per basis.
 
     Equals the full k!-term antisymmetrization because distinct gamma
     matrices anticommute; the permutation-sum definition is kept only as a
     test oracle.
     """
-    mask = 0
-    for a in set(indices):
-        if not 1 <= a <= basis.d:
-            raise ValueError(f"index {a} outside 1..{basis.d}")
-        mask |= 1 << (a - 1)
-    return basis.antisym_mask(mask)
+    key = tuple(sorted(set(indices)))
+    cached = basis._antisym.get(key)
+    if cached is None:
+        cached = SparseOperator.identity(basis.dim)
+        for a in key:
+            cached = cached @ basis.gamma(a)
+        basis._antisym[key] = cached
+    return cached
 
 
 def graded_rep(basis: GammaBasis):
@@ -236,16 +229,3 @@ def exchange_pair(basis: GammaBasis):
     explicitly).
     """
     return as_exponential(basis, 1), as_exponential(basis, -1)
-
-
-def gamma5_pair_reflection(basis: GammaBasis, k: int) -> SparseOperator:
-    """Difference of (gamma5 (x) gamma5) T_k and (-1)^(d/2) T_(d-k), summed
-    over all grade-k multi-indices; zero iff the complementary-index
-    reflection identity holds."""
-    if not 0 <= k <= basis.d:
-        raise ValueError(f"grade {k} outside 0..{basis.d}")
-    g55 = kron(basis.gamma5, basis.gamma5)
-    lhs = g55 @ basis.pair_contraction(k)
-    sign = 1 if (basis.d // 2) % 2 == 0 else -1
-    rhs = basis.pair_contraction(basis.d - k).scale(sign)
-    return lhs - rhs

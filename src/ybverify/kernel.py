@@ -28,24 +28,6 @@ class ExactScalar:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @classmethod
-    def parse(cls, text: str) -> "ExactScalar":
-        """Inverse of str(); accepts "p/q", "r/s*i" and "p/q+r/s*i" forms."""
-        text = text.strip().replace(" ", "")
-        if not text:
-            raise ValueError("empty scalar string")
-        if "i" not in text:
-            return cls(Fraction(text))
-        body = text[:-2] if text.endswith("*i") else text[:-1]
-        # split real from imaginary on the last +/- that is not a leading sign
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/*":
-                re_part, im_part = body[:pos], body[pos:]
-                if im_part in ("+", "-"):
-                    im_part += "1"
-                return cls(Fraction(re_part), Fraction(im_part))
-        return cls(0, Fraction(body if body not in ("", "+", "-") else body + "1"))
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:

@@ -1,6 +1,6 @@
-"""Coordinate geometry of the local Yang-Baxter relation: the (a,b,t) chart,
-its invariants and Jacobian, the induced involution on (x,y,z), and the
-pointwise symmetry of the three-fold integrand.
+"""Coordinate geometry of the local Yang-Baxter relation: the (a,b,t) chart
+and its Jacobian, the induced involution on (x,y,z), and the pointwise
+symmetry of the three-fold integrand.
 
 Maps are evaluated exactly on Fractions where possible and in floats
 otherwise; the primed point generically involves a square root, so the
@@ -65,35 +65,6 @@ def forward_map(p: TripleXYZ) -> CurveCoords:
     b = z * (x - y) / (1 - s)
     t = (x - y) / (1 + s)
     return CurveCoords(a, b, t)
-
-
-def invariants(p: TripleXYZ):
-    """(lambda1, lambda2) = (z(x-y)/(1-xy), z(x+y)(1+xy)/(1-xy)^2); these
-    equal (b, a*b) of the forward chart and are preserved by the primed map."""
-    x, y, z = p
-    s = x * y
-    if s == 1:
-        raise ZeroDivisionError("xy = 1 is singular")
-    lam1 = z * (x - y) / (1 - s)
-    lam2 = z * (x + y) * (1 + s) / (1 - s) ** 2
-    return lam1, lam2
-
-
-def companion_point(c: CurveCoords) -> CurveCoords:
-    """(a, b, t) -> (a, b, b/(a t)); an involution on the curve."""
-    a, b, t = c
-    if a == 0 or t == 0:
-        raise ZeroDivisionError("companion point needs a != 0 and t != 0")
-    return CurveCoords(a, b, b / (a * t))
-
-
-def classify_region(p: TripleXYZ) -> RegionTag:
-    """Region of a point with nonzero coordinates; boundary points
-    (x = y, xy = 1, z = 0) are measure-zero and rejected."""
-    x, y, z = p
-    if x == y or x * y == 1 or z == 0:
-        raise ValueError(f"boundary point {tuple(p)} has no region")
-    return RegionTag(x > y, x * y > 1, z > 0)
 
 
 def _exact_sqrt(value: Fraction):
@@ -189,18 +160,6 @@ def jacobian(p: TripleXYZ):
     if s == 1 or 1 + s == 0:
         raise ZeroDivisionError("singular point for the Jacobian")
     return 2 * (1 + x * x) * (1 + y * y) / ((1 + s) * (1 - s) ** 3)
-
-
-def jacobian_fd(p: TripleXYZ, h: float = 1e-6) -> float:
-    """Central finite-difference determinant of the forward chart (oracle)."""
-    x, y, z = (float(v) for v in p)
-    cols = []
-    for dx, dy, dz in ((h, 0, 0), (0, h, 0), (0, 0, h)):
-        hi = forward_map(TripleXYZ(x + dx, y + dy, z + dz))
-        lo = forward_map(TripleXYZ(x - dx, y - dy, z - dz))
-        cols.append([(float(hi[i]) - float(lo[i])) / (2 * h) for i in range(3)])
-    m = np.array(cols).T
-    return float(np.linalg.det(m))
 
 
 # ---------------------------------------------------------------------------

@@ -62,27 +62,6 @@ class CoefficientTable:
     def __len__(self):
         return len(self.values)
 
-    def recurrence_holds(self) -> bool:
-        """R_{k+2} (k - (u+d-2)) = (u+k) R_k for every k <= d-2, exactly."""
-        u, d = self.u, self.d
-        for k in range(d - 1):
-            lhs = self.values[k + 2] * (Fraction(k) - (u + d - 2))
-            rhs = self.values[k] * (u + Fraction(k))
-            if lhs != rhs:
-                return False
-        return True
-
-    def reciprocity_holds(self) -> bool:
-        """R_{2k} = (-1)^(d/2) R_{d-2k} and R_{2k+1} = -(-1)^(d/2) R_{d-2k-1}."""
-        sign = 1 if (self.d // 2) % 2 == 0 else -1
-        for k in range(0, self.d + 1, 2):
-            if self.values[k] != self.values[self.d - k] * sign:
-                return False
-        for k in range(1, self.d, 2):
-            if self.values[k] != -(self.values[self.d - k] * sign):
-                return False
-        return True
-
     def perturbed(self, k: int, delta=1) -> "CoefficientTable":
         """Copy with R_k shifted by delta (negative-control fixture)."""
         values = list(self.values)
@@ -194,38 +173,6 @@ def coefficients(d: int, u, norm: Normalization) -> CoefficientTable:
     return CoefficientTable(d, u, norm, tuple(ExactScalar(v) for v in values))
 
 
-def coefficients_closed_form(d: int, u, norm: Normalization) -> CoefficientTable:
-    """Closed-form tables for the product-of-gammas and beta normalizations;
-    must agree exactly with the recurrence path."""
-    u = Fraction(u)
-    half = d // 2
-    values = [Fraction(0)] * (d + 1)
-    if norm is Normalization.PRODUCT_FORM:
-        for k in range(half + 1):
-            sign = -1 if k % 2 else 1
-            values[2 * k] = sign * _poch(u / 2, k) * _poch(u / 2, half - k)
-        for k in range(half):
-            sign = -1 if k % 2 else 1
-            values[2 * k + 1] = sign * _poch((u + 1) / 2, k) * _poch((u + 1) / 2, half - 1 - k) / 2
-    elif norm is Normalization.BETA_FORM:
-        # B(k+u/2, (u+d)/2-k) / B(u/2, (u+d)/2) and the odd analogue
-        for k in range(half + 1):
-            den = _poch(u / 2 + half - k, k)
-            if den == 0:
-                raise PoleError(f"beta-ratio pole at even k={2 * k} for u={u}", k=2 * k)
-            sign = -1 if k % 2 else 1
-            values[2 * k] = sign * _poch(u / 2, k) / den
-        for k in range(half):
-            den = _poch((u + 1) / 2 + half - 1 - k, k)
-            if den == 0:
-                raise PoleError(f"beta-ratio pole at odd k={2 * k + 1} for u={u}", k=2 * k + 1)
-            sign = -1 if k % 2 else 1
-            values[2 * k + 1] = sign * _poch((u + 1) / 2, k) / den
-    else:
-        raise ValueError("closed forms exist for the product and beta normalizations")
-    return CoefficientTable(d, u, norm, tuple(ExactScalar(v) for v in values))
-
-
 def normalization_weights(d: int, u, norm: Normalization):
     """The even/odd family weights (A(u), B(u)) of the normalization against
     the product-form shape: A = R_0(u)/poch(u/2, d/2) and
@@ -317,13 +264,6 @@ def projectors(basis: GammaBasis):
     return (ident + g55).scale(half), (ident - g55).scale(half)
 
 
-def weyl_projectors(basis: GammaBasis):
-    """Half-spinor projectors (1 +- gamma5)/2 on the single spinor space."""
-    ident = SparseOperator.identity(basis.dim)
-    half = Fraction(1, 2)
-    return (ident + basis.gamma5).scale(half), (ident - basis.gamma5).scale(half)
-
-
 def fundamental_R0(d: int, u) -> SparseOperator:
     """The d^2-dimensional fundamental R-matrix
     u*permutation + identity - u/(u + d/2 - 1)*(trace term)."""
@@ -379,27 +319,6 @@ class QuantumRep:
         if a < b:
             return self._gens[(a, b)]
         return -self._gens[(b, a)]
-
-    def satisfies_so_relations(self) -> bool:
-        """Exhaustive exact check of the so(d) commutation relations."""
-        i = ExactScalar(0, 1)
-        for a in range(1, self.d + 1):
-            for b in range(1, self.d + 1):
-                for dd in range(1, self.d + 1):
-                    for c in range(1, self.d + 1):
-                        lhs = self.gen(a, b) @ self.gen(dd, c) - self.gen(dd, c) @ self.gen(a, b)
-                        rhs = SparseOperator.zero(self.m)
-                        if b == dd:
-                            rhs = rhs + self.gen(a, c)
-                        if a == c:
-                            rhs = rhs + self.gen(b, dd)
-                        if a == dd:
-                            rhs = rhs - self.gen(b, c)
-                        if b == c:
-                            rhs = rhs - self.gen(a, dd)
-                        if lhs != rhs.scale(i):
-                            return False
-        return True
 
     def __repr__(self):
         return f"QuantumRep(d={self.d}, m={self.m})"

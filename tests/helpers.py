@@ -1,17 +1,23 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and identity checks shared by the test modules.
 
 Everything here recomputes expected values by a different route than the
-library (brute-force permutation sums, dense triple-loop products, log-gamma
-evaluations), so an agreement is a genuine cross-check.
+library (brute-force permutation sums, subset sums, closed forms, dense
+triple-loop products, finite differences), so an agreement is a genuine
+cross-check.  The library itself never calls any of it.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import numpy as np
+
 from ybverify import _core
 from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron
+from ybverify.localyb import CurveCoords, RegionTag, TripleXYZ, forward_map
+from ybverify.rmatrix import CoefficientTable, Normalization, PoleError
 
 
 def perm_sign(perm):
@@ -41,6 +47,39 @@ def brute_antisym(basis, indices):
     for j in range(2, k + 1):
         inv_fact /= j
     return acc.scale(inv_fact)
+
+
+def subset_pair_contraction(basis, k):
+    """T_k = sum over |A| = k of Gamma_A (x) Gamma_A, one permutation-sum
+    Gamma_A per index subset: the reference for
+    ``GammaBasis.pair_contraction``, which builds every T_k as an
+    elementary symmetric polynomial instead."""
+    acc = SparseOperator.zero(basis.dim ** 2)
+    for A in combinations(range(1, basis.d + 1), k):
+        g = brute_antisym(basis, A)
+        acc = acc + kron(g, g)
+    return acc
+
+
+def subset_products(factors, k):
+    """e_k(factors) expanded: the sum over |A| = k of the ordered products of
+    the factors indexed by A (the zero operator for k > len(factors))."""
+    dim = factors[0].dim
+    acc = SparseOperator.zero(dim)
+    for A in combinations(factors, k):
+        prod = SparseOperator.identity(dim)
+        for f in A:
+            prod = prod @ f
+        acc = acc + prod
+    return acc
+
+
+def gamma5_pair_reflection(basis, k):
+    """Difference of (gamma5 (x) gamma5) T_k and (-1)^(d/2) T_(d-k); zero
+    iff the complementary-index reflection identity holds at grade k."""
+    g55 = kron(basis.gamma5, basis.gamma5)
+    sign = 1 if (basis.d // 2) % 2 == 0 else -1
+    return g55 @ basis.pair_contraction(k) - basis.pair_contraction(basis.d - k).scale(sign)
 
 
 @lru_cache(maxsize=None)
@@ -223,3 +262,147 @@ def rand_operator(rng: random.Random, dim: int, fill: int) -> SparseOperator:
     for _ in range(fill):
         entries[(rng.randrange(dim), rng.randrange(dim))] = rand_scalar(rng)
     return SparseOperator.from_entries(dim, entries)
+
+
+def parse_scalar(text):
+    """Inverse of ``str(ExactScalar)``; accepts "p/q", "r/s*i" and
+    "p/q+r/s*i" forms."""
+    text = text.strip().replace(" ", "")
+    if not text:
+        raise ValueError("empty scalar string")
+    if "i" not in text:
+        return ExactScalar(Fraction(text))
+    body = text[:-2] if text.endswith("*i") else text[:-1]
+    # split real from imaginary on the last +/- that is not a leading sign
+    for pos in range(len(body) - 1, 0, -1):
+        if body[pos] in "+-" and body[pos - 1] not in "+-/*":
+            re_part, im_part = body[:pos], body[pos:]
+            if im_part in ("+", "-"):
+                im_part += "1"
+            return ExactScalar(Fraction(re_part), Fraction(im_part))
+    return ExactScalar(0, Fraction(body if body not in ("", "+", "-") else body + "1"))
+
+
+# --- coefficient tables and representations ---------------------------------
+
+def _poch(x, n):
+    return math.prod((x + j for j in range(n)), start=Fraction(1))
+
+
+def coefficients_closed_form(d, u, norm):
+    """Closed-form tables for the product-of-gammas and beta normalizations;
+    must agree exactly with the recurrence path ``rmatrix.coefficients``."""
+    u = Fraction(u)
+    half = d // 2
+    values = [Fraction(0)] * (d + 1)
+    if norm is Normalization.PRODUCT_FORM:
+        for k in range(half + 1):
+            sign = -1 if k % 2 else 1
+            values[2 * k] = sign * _poch(u / 2, k) * _poch(u / 2, half - k)
+        for k in range(half):
+            sign = -1 if k % 2 else 1
+            values[2 * k + 1] = sign * _poch((u + 1) / 2, k) * _poch((u + 1) / 2, half - 1 - k) / 2
+    elif norm is Normalization.BETA_FORM:
+        # B(k+u/2, (u+d)/2-k) / B(u/2, (u+d)/2) and the odd analogue
+        for k in range(half + 1):
+            den = _poch(u / 2 + half - k, k)
+            if den == 0:
+                raise PoleError(f"beta-ratio pole at even k={2 * k} for u={u}", k=2 * k)
+            sign = -1 if k % 2 else 1
+            values[2 * k] = sign * _poch(u / 2, k) / den
+        for k in range(half):
+            den = _poch((u + 1) / 2 + half - 1 - k, k)
+            if den == 0:
+                raise PoleError(f"beta-ratio pole at odd k={2 * k + 1} for u={u}", k=2 * k + 1)
+            sign = -1 if k % 2 else 1
+            values[2 * k + 1] = sign * _poch((u + 1) / 2, k) / den
+    else:
+        raise ValueError("closed forms exist for the product and beta normalizations")
+    return CoefficientTable(d, u, norm, tuple(ExactScalar(v) for v in values))
+
+
+def recurrence_holds(table):
+    """R_{k+2} (k - (u+d-2)) = (u+k) R_k for every k <= d-2, exactly."""
+    u, d = table.u, table.d
+    return all(table[k + 2] * (Fraction(k) - (u + d - 2)) == table[k] * (u + Fraction(k))
+               for k in range(d - 1))
+
+
+def reciprocity_holds(table):
+    """R_{2k} = (-1)^(d/2) R_{d-2k} and R_{2k+1} = -(-1)^(d/2) R_{d-2k-1}."""
+    d = table.d
+    sign = 1 if (d // 2) % 2 == 0 else -1
+    return (all(table[k] == table[d - k] * sign for k in range(0, d + 1, 2))
+            and all(table[k] == -(table[d - k] * sign) for k in range(1, d, 2)))
+
+
+def weyl_projectors(basis):
+    """Half-spinor projectors (1 +- gamma5)/2 on the single spinor space."""
+    ident = SparseOperator.identity(basis.dim)
+    half = Fraction(1, 2)
+    return (ident + basis.gamma5).scale(half), (ident - basis.gamma5).scale(half)
+
+
+def satisfies_so_relations(q):
+    """Exhaustive exact check of the so(d) commutation relations
+    [M_ab, M_dc] = i(d_bd M_ac + d_ac M_bd - d_ad M_bc - d_bc M_ad) on the
+    quantum representation ``q``."""
+    i = ExactScalar(0, 1)
+    for a in range(1, q.d + 1):
+        for b in range(1, q.d + 1):
+            for dd in range(1, q.d + 1):
+                for c in range(1, q.d + 1):
+                    lhs = q.gen(a, b) @ q.gen(dd, c) - q.gen(dd, c) @ q.gen(a, b)
+                    rhs = SparseOperator.zero(q.m)
+                    if b == dd:
+                        rhs = rhs + q.gen(a, c)
+                    if a == c:
+                        rhs = rhs + q.gen(b, dd)
+                    if a == dd:
+                        rhs = rhs - q.gen(b, c)
+                    if b == c:
+                        rhs = rhs - q.gen(a, dd)
+                    if lhs != rhs.scale(i):
+                        return False
+    return True
+
+
+# --- chart geometry of the local Yang-Baxter relation -----------------------
+
+def invariants(p):
+    """(lambda1, lambda2) = (z(x-y)/(1-xy), z(x+y)(1+xy)/(1-xy)^2); these
+    equal (b, a*b) of the forward chart and are preserved by the primed map."""
+    x, y, z = p
+    s = x * y
+    if s == 1:
+        raise ZeroDivisionError("xy = 1 is singular")
+    return z * (x - y) / (1 - s), z * (x + y) * (1 + s) / (1 - s) ** 2
+
+
+def companion_point(c):
+    """(a, b, t) -> (a, b, b/(a t)); an involution on the curve."""
+    a, b, t = c
+    if a == 0 or t == 0:
+        raise ZeroDivisionError("companion point needs a != 0 and t != 0")
+    return CurveCoords(a, b, b / (a * t))
+
+
+def classify_region(p):
+    """Region of a point with nonzero coordinates; boundary points
+    (x = y, xy = 1, z = 0) are measure-zero and rejected."""
+    x, y, z = p
+    if x == y or x * y == 1 or z == 0:
+        raise ValueError(f"boundary point {tuple(p)} has no region")
+    return RegionTag(x > y, x * y > 1, z > 0)
+
+
+def jacobian_fd(p, h=1e-6):
+    """Central finite-difference determinant of the forward chart, the
+    reference for the closed-form ``localyb.jacobian``."""
+    x, y, z = (float(v) for v in p)
+    cols = []
+    for dx, dy, dz in ((h, 0, 0), (0, h, 0), (0, 0, h)):
+        hi = forward_map(TripleXYZ(x + dx, y + dy, z + dz))
+        lo = forward_map(TripleXYZ(x - dx, y - dy, z - dz))
+        cols.append([(float(hi[i]) - float(lo[i])) / (2 * h) for i in range(3)])
+    return float(np.linalg.det(np.array(cols).T))

@@ -17,11 +17,12 @@ from ybverify import relations as rel
 from ybverify.clifford import build_gamma
 from ybverify.kernel import ExactScalar, SparseOperator
 from ybverify.localyb import (all_regions, check_local_ybe, forward_map,
-                              inverse_map, invariants, jacobian, jacobian_fd,
-                              classify_region, sample_triple, solve_primed)
-from ybverify.rmatrix import (Normalization, coefficients,
-                              coefficients_closed_form, so_defining_rep,
+                              inverse_map, jacobian, sample_triple, solve_primed)
+from ybverify.rmatrix import (Normalization, coefficients, so_defining_rep,
                               so_spinor_rep)
+
+from helpers import (classify_region, coefficients_closed_form, invariants,
+                     jacobian_fd, reciprocity_holds)
 
 F = Fraction
 PRODUCT = Normalization.PRODUCT_FORM
@@ -68,7 +69,7 @@ def test_c02_coefficients():
             for norm in Normalization:
                 if norm is Normalization.D6_PAPER and d != 6:
                     continue
-                assert coefficients(d, u, norm).reciprocity_holds(), (d, u, norm)
+                assert reciprocity_holds(coefficients(d, u, norm)), (d, u, norm)
     criterion(2, "d=6 paper table exact; recurrence = closed form for d <= 8; "
                  "reciprocity exact", True)
 

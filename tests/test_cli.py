@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ybverify
-from ybverify import relations
+from ybverify import integrate, relations
 from ybverify.cli import console_main, main
 
 
@@ -204,10 +205,25 @@ def test_pole_in_suite_job_is_a_fail(tmp_path, capsys):
     code, out, _ = run_cli(["run", "--suite", str(path)], capsys)
     assert code == 1
     payload = json.loads(out.strip())
-    assert payload["status"] == "fail"
+    assert payload["status"] == "fail" and payload["exact"] is True
     assert payload["detail"].startswith("error: ")
     # the job's own params, not every run option
     assert payload["params"] == {"d": "4", "norm": "unit", "u": "-2"}
+
+
+def test_non_finite_value_is_the_same_fail_in_check_and_suite(tmp_path, capsys, monkeypatch):
+    # an ArithmeticError inside a check is a verdict under `check` too, not a
+    # program bug; the error line of a float check says exact: false
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (math.nan, math.nan))
+    code, out, err = run_cli(["check", "beta_integral", "--d", "2"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail" and payload["exact"] is False
+    assert payload["params"] == {"d": "2"}
+    assert payload["detail"].startswith("error: ") and "non-finite" in payload["detail"]
+    suite_code, suite_out, suite_err = _run_suite(
+        tmp_path, capsys, [{"check": "beta_integral", "params": {"d": 2}}])
+    assert (suite_code, suite_out, suite_err) == (code, out, err)
 
 
 @pytest.mark.parametrize("check,params", [

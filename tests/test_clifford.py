@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 
 from ybverify.clifford import (as_exp_components, as_exponential, antisym_product,
-                               build_gamma, exchange_pair, gamma5_pair_reflection,
-                               graded_rep)
+                               build_gamma, exchange_pair, graded_rep)
 from ybverify.kernel import ExactScalar, SparseOperator, kron
 
 from helpers import (brute_antisym, brute_as_exp_components, brute_as_exponential,
-                     brute_graded_generators)
+                     brute_graded_generators, gamma5_pair_reflection,
+                     subset_pair_contraction, subset_products)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,53 @@ def test_antisym_commutator_form(bases):
 def test_antisym_rejects_out_of_range(bases):
     with pytest.raises(ValueError):
         antisym_product(bases[2], [3])
+
+
+# --- pair contractions as elementary symmetric polynomials -------------------
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_pair_factors_are_commuting_involutions(bases, d):
+    # X_a = gamma_a (x) gamma_a: the premise of sum_k t^k T_k = prod_a (1 + t X_a)
+    basis = bases[d]
+    xs = [kron(g, g) for g in basis.gammas]
+    ident = SparseOperator.identity(basis.dim ** 2)
+    for a, xa in enumerate(xs):
+        assert xa @ xa == ident, a
+        for xb in xs[a + 1:]:
+            assert xa @ xb == xb @ xa, a
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_pair_contraction_matches_subset_sum(bases, d):
+    # the subset sum over permutation-sum Gamma_A; at d = 8 the grades above
+    # d/2 come from their complements, T_k = (-1)^(d/2) (gamma5 (x) gamma5)
+    # T_(d-k), because the permutation sums over 5 to 8 indices take ~25 s
+    basis = bases[d]
+    sign = 1 if (d // 2) % 2 == 0 else -1
+    g55 = kron(basis.gamma5, basis.gamma5).scale(sign)
+    for k in range(d + 1):
+        if d < 8 or 2 * k <= d:
+            want = subset_pair_contraction(basis, k)
+        else:
+            want = g55 @ subset_pair_contraction(basis, d - k)
+        assert basis.pair_contraction(k) == want, (d, k)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_as_exp_components_are_elementary_symmetric(bases, d):
+    # Z_a = Gamma_{1,a} Gamma_{2,a} = gamma_a gamma5 (x) gamma_a commute, so
+    # E(t) = prod_a (1 + t Z_a) and S_k is the subset sum of the Z_a
+    basis = bases[d]
+    zs = [kron(g @ basis.gamma5, g) for g in basis.gammas]
+    assert as_exp_components(basis) == tuple(subset_products(zs, k) for k in range(d + 1))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_pair_contraction_rejects_grade_outside_range(bases, d):
+    # a negative k would otherwise index the cached tuple from the end
+    for k in (-1, d + 1):
+        with pytest.raises(ValueError, match="grade"):
+            bases[d].pair_contraction(k)
 
 
 # --- graded representations -------------------------------------------------

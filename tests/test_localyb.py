@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import dense_local_ybe_sides
+from helpers import (classify_region, companion_point, dense_local_ybe_sides,
+                     invariants, jacobian_fd)
 from ybverify import localyb as lyb
 from ybverify.clifford import build_gamma
 from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, all_regions,
-                              check_local_ybe, classify_region, companion_point,
-                              forward_map, integrand_symmetry_check, invariants,
-                              inverse_map, jacobian, jacobian_fd, sample_triple,
-                              solve_primed)
+                              check_local_ybe, forward_map, integrand_symmetry_check,
+                              inverse_map, jacobian, sample_triple, solve_primed)
 from ybverify.relations import Status, _basis
 
 F = Fraction

@@ -7,7 +7,9 @@ import pytest
 
 from ybverify import integrate, quadrature as quad
 from ybverify.cli import default_suite, main
-from ybverify.rmatrix import Normalization, coefficients_closed_form
+from ybverify.rmatrix import Normalization
+
+from helpers import coefficients_closed_form
 
 
 def lgamma_ratio(*args):

@@ -13,7 +13,7 @@ from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               fundamental_R0, so_defining_rep, so_spinor_rep)
 
 from helpers import (brute_as_exponential, brute_graded_generators, rll_sides,
-                     streamed_yb, yb_sides)
+                     streamed_yb, weyl_projectors, yb_sides)
 
 U, V = Fraction(1, 2), Fraction(1, 3)
 LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
@@ -663,7 +663,7 @@ def rll_operands(draw):
     ops = [sum((comp.scale(ck) for comp, ck in zip(comps, coeffs)),
                SparseOperator.zero(basis.dim ** 2)),
            ident.scale(xu) + X.scale(c), ident.scale(xv) + X.scale(c)]
-    _, minus = rmatrix.weyl_projectors(basis)
+    _, minus = weyl_projectors(basis)
     shifted = draw(st.sampled_from([None, 0, 1, 2]))
     if shifted is not None:
         other = minus if shifted == 0 else SparseOperator.identity(q.m)

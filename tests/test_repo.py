@@ -94,3 +94,44 @@ def test_full_suite_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert '"check": "beta_integral"' in proc.stdout
     assert proc.stderr.splitlines()[-1] == "[] 0"
+
+
+def _mentioned_names(path):
+    # identifiers, attribute and imported names, and string constants, since
+    # perfbench wraps program functions by their names as strings
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _defined_functions(path):
+    # (qualified name, name) of top-level functions and non-dunder methods
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+# the report's public verdict: the tests read it, the program reads ``status``
+TEST_ONLY_API = {"CheckReport.passed"}
+
+
+def test_every_source_function_has_a_caller_outside_tests():
+    # a function only tests call belongs in tests/helpers.py
+    sources = sorted((ROOT / "src" / "ybverify").glob("*.py"))
+    assert sources
+    mentioned = {name for path in sources + sorted((ROOT / "perfbench").glob("*.py"))
+                 for name in _mentioned_names(path)}
+    uncalled = {qualname for path in sources for qualname, name in _defined_functions(path)
+                if name not in mentioned}
+    assert uncalled == TEST_ONLY_API
