@@ -9,9 +9,9 @@ once in each checkout, alternating which side goes first; T is the
 ``run_seconds`` of BENCHMARK.json.  The record holds, for every end-to-end
 metric of BENCHMARK.json, each side's runs, median and quartiles and the
 number of pairs the change won (ties count for neither side); whether the
-gain claimed on ``suite_s_p50`` holds; and the CPU count and the Python and
-numpy versions (scipy too when installed).  A run that prints no result, or
-whose outputs perfbench found wrong, stops the script with exit 1.
+gain claimed on ``suite_s_p50`` holds; and the CPU count, the Python version
+and the numpy and scipy versions when installed.  A run that prints no
+result, or whose outputs perfbench found wrong, stops the script with exit 1.
 
 Usage: python3 benchmarks/bench.py --base REV [--workload suite_cold]
        [--seed 1] [--pairs 10] [--workdir DIR]

@@ -63,7 +63,8 @@ def spinor_R(basis, x, perturb_k=None):
 
 
 def streamed(a, b, c, n):
-    rows = _core.yb_rows(a._rows, b._rows, c._rows, n, range(n ** 3))
+    rows = _core.yb_rows((a._rows, b._rows, c._rows), (c._rows, b._rows, a._rows), n,
+                         range(n ** 3))
     return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
 
 

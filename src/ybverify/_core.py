@@ -2,7 +2,9 @@
 
 A grid is ``{row: {col: (re, im)}}`` with arbitrary-precision integer parts
 and no stored zeros.  All exact matrix arithmetic reduces to these
-functions, which ``ybverify.kernel`` wraps.
+functions, which ``ybverify.kernel`` wraps.  ``combine_grids`` and
+``yb_rows`` also take grids whose parts are floats, which the float local
+Yang-Baxter check multiplies.
 """
 
 from math import gcd
@@ -192,30 +194,33 @@ def _times_right(vec, xrows, n2, out):
     return out
 
 
-def yb_rows(arows, brows, crows, n, rows, with_rhs=True):
+def yb_rows(lhs, rhs, n, rows):
     """Yield (r, row) for each index r in ``rows`` whose row of
-    (a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a) on
-    V (x) V (x) V is nonzero, for grids a, b, c on V (x) V, dim V = n;
-    without the rhs when ``with_rhs`` is false.  Row-wise (Gustavson): row
-    r = (i, j, k) of the lhs starts from row i*n + j of a shifted by k, row
-    r of the rhs from row j*n + k of c shifted by i*n*n, and each factor is
-    applied to the sparse row vector by index arithmetic, so no n^3 x n^3
-    factor or product is stored.  Rows are over den(a) den(b) den(c)."""
+    (A1 (x) 1)(1 (x) A2)(A3 (x) 1) - (1 (x) B1)(B2 (x) 1)(1 (x) B3) on
+    V (x) V (x) V is nonzero, for grids lhs = (A1, A2, A3) and
+    rhs = (B1, B2, B3) on V (x) V, dim V = n; of the lhs alone when ``rhs``
+    is None.  Row-wise (Gustavson): row r = (i, j, k) of the lhs starts
+    from row i*n + j of A1 shifted by k, row r of the rhs from row j*n + k
+    of B1 shifted by i*n*n, and each factor is applied to the sparse row
+    vector by index arithmetic, so no n^3 x n^3 factor or product is
+    stored.  Integer rows are over the product of the lhs denominators,
+    which the rhs must share."""
+    a1, a2, a3 = lhs
+    b1, b2, b3 = rhs or ({}, {}, {})
     n2 = n * n
     for r in rows:
         ij, k = divmod(r, n)
         acc = {}
-        arow = arows.get(ij)
+        arow = a1.get(ij)
         if arow:
             start = {p * n + k: v for p, v in arow.items()}
-            _times_left(_times_right(start, brows, n2, {}), crows, n, acc)
-        if with_rhs:
-            jk = r % n2
-            crow = crows.get(jk)
-            if crow:
-                base = r - jk
-                start = {base + q: (-v[0], -v[1]) for q, v in crow.items()}
-                _times_right(_times_left(start, brows, n, {}), arows, n2, acc)
+            _times_left(_times_right(start, a2, n2, {}), a3, n, acc)
+        jk = r % n2
+        brow = b1.get(jk)
+        if brow:
+            base = r - jk
+            start = {base + q: (-v[0], -v[1]) for q, v in brow.items()}
+            _times_right(_times_left(start, b2, n, {}), b3, n2, acc)
         row = _nonzero(acc)
         if row:
             yield r, row

@@ -108,9 +108,9 @@ def _run_named_check(args) -> list[CheckReport]:
                 report.params["seed"] = seed
                 out.append(report)
         return out
-    # localyb (numpy) and quadrature are imported in the branches of the
-    # float checks, so exact-only commands never load them; every check
-    # below is a quadrature check
+    # localyb and quadrature are imported in the branches of the float
+    # checks, so exact-only commands never load them; every check below is
+    # a quadrature check
     from . import quadrature
 
     if check_id == "beta_integral":

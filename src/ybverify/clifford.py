@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .kernel import ExactScalar, RowSymmetry, SparseOperator, kron
 
-DEFAULT_MAX_D = 8
+MAX_D = 10
 
 _SIGMA1 = SparseOperator.from_entries(2, {(0, 1): 1, (1, 0): 1})
 _SIGMA2 = SparseOperator.from_entries(2, {(0, 1): (0, -1), (1, 0): (0, 1)})
@@ -117,10 +117,10 @@ def _elementary(factors, dim):
     return tuple(e)
 
 
-def build_gamma(d: int, max_d: int = DEFAULT_MAX_D) -> GammaBasis:
-    """Construct a chiral-basis GammaBasis for even d, 2 <= d <= max_d."""
-    if d % 2 != 0 or not 2 <= d <= max_d:
-        raise ValueError(f"d must be even with 2 <= d <= {max_d}, got {d}")
+def build_gamma(d: int) -> GammaBasis:
+    """Construct a chiral-basis GammaBasis for even d, 2 <= d <= MAX_D."""
+    if d % 2 != 0 or not 2 <= d <= MAX_D:
+        raise ValueError(f"d must be even with 2 <= d <= {MAX_D}, got {d}")
     m = d // 2
     gammas = []
     for k in range(m):

@@ -12,7 +12,7 @@ The grid kernels live in ``_core``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import hypot, lcm
 
 from . import _core as _k
 
@@ -221,16 +221,6 @@ class SparseOperator:
                 tr_re += v[0]
                 tr_im += v[1]
         return ExactScalar(Fraction(tr_re, self._den), Fraction(tr_im, self._den))
-
-    def to_complex_array(self):
-        import numpy as np
-
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        den = self._den
-        for r, row in self._rows.items():
-            for c, (re, im) in row.items():
-                out[r, c] = complex(re, im) / den
-        return out
 
     def submatrix(self, rows, cols) -> "SparseOperator":
         """Square submatrix picked by equal-length row/col index lists."""
@@ -500,8 +490,26 @@ def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
         symmetry._require((n, n, n), (0, 1, 2))
         if symmetry.certifies((0, 1), a, b, c):
             rows = symmetry.rows
-    stream = _k.yb_rows(a._rows, b._rows, c._rows, n, rows, with_rhs)
+    lhs = (a._rows, b._rows, c._rows)
+    stream = _k.yb_rows(lhs, lhs[::-1] if with_rhs else None, n, rows)
     return _first_row(stream, n ** 3, a._den * b._den * c._den)
+
+
+def float_combination(terms) -> dict:
+    """Sum of c X over the (X, c) pairs in ``terms``, for operators X and
+    real floats c, as a float grid ``{row: {col: (re, im)}}``: a factor of
+    ``yb_float_max``."""
+    return _k.combine_grids([(op._rows, c / op._den, 0.0) for op, c in terms])
+
+
+def yb_float_max(lhs, rhs, n: int, rows) -> float:
+    """The largest entry modulus, over the rows in ``rows``, of
+    (A1 (x) 1)(1 (x) A2)(A3 (x) 1) - (1 (x) B1)(B2 (x) 1)(1 (x) B3) on
+    V (x) V (x) V, dim V = n, for float grids lhs = (A1, A2, A3) and
+    rhs = (B1, B2, B3) from ``float_combination``; of the lhs alone when
+    ``rhs`` is None.  Rows stream as in ``yb_first_row``."""
+    return max((hypot(*v) for _, row in _k.yb_rows(lhs, rhs, n, rows)
+                for v in row.values()), default=0.0)
 
 
 def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,

@@ -16,7 +16,9 @@ import numpy as np
 
 from ybverify import _core
 from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron
-from ybverify.localyb import CurveCoords, RegionTag, TripleXYZ, forward_map
+from ybverify.clifford import as_exp_components
+from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, forward_map,
+                              local_ybe_factors)
 from ybverify.rmatrix import CoefficientTable, Normalization, PoleError
 
 
@@ -129,6 +131,14 @@ def brute_as_exponential(gens, i, j, t):
     return acc
 
 
+def to_complex_array(op):
+    """The operator as a dense complex array."""
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for (r, c), v in op.items():
+        out[r, c] = v.to_complex()
+    return out
+
+
 def dense_local_ybe_sides(basis, p, q):
     """Both sides of the local Yang-Baxter relation at p and its primed
     partner q, from dense three-copy As-exponentials: sum_k t^k S_k over the
@@ -136,7 +146,7 @@ def dense_local_ybe_sides(basis, p, q):
     arrays, then the product of the three N x N factors of each side."""
     d = basis.d
     gens = brute_graded_generators(basis, 3)
-    comps = {ij: [c.to_complex_array() for c in brute_as_exp_components(gens, *ij)]
+    comps = {ij: [to_complex_array(c) for c in brute_as_exp_components(gens, *ij)]
              for ij in ((1, 2), (2, 3))}
 
     def exp(ij, t):
@@ -147,6 +157,23 @@ def dense_local_ybe_sides(basis, p, q):
     lhs = (exp((1, 2), y) @ exp((2, 3), z) @ exp((1, 2), x)) * (1 - x * y) ** (-d)
     rhs = (exp((2, 3), xp) @ exp((1, 2), zp) @ exp((2, 3), yp)) * (1 - xp * yp) ** (-d)
     return lhs, rhs
+
+
+def streamed_local_ybe_sides(basis, p, q):
+    """Both sides of the local Yang-Baxter relation at p and its primed
+    partner q as dense arrays, from ``_core.yb_rows`` driven over every row
+    of the float factors ``localyb.local_ybe_factors``: the lhs stream
+    alone, and the rhs as the negated stream of an empty lhs."""
+    lhs, rhs = local_ybe_factors(as_exp_components(basis), p, q)
+    n = basis.dim
+    sides = []
+    for factors, sign in (((lhs, None), 1), ((({}, {}, {}), rhs), -1)):
+        out = np.zeros((n ** 3, n ** 3), dtype=complex)
+        for r, row in _core.yb_rows(*factors, n, range(n ** 3)):
+            for c, (re, im) in row.items():
+                out[r, c] = sign * complex(re, im)
+        sides.append(out)
+    return sides
 
 
 def yb_sides(a, b, c, n):
@@ -162,7 +189,8 @@ def yb_sides(a, b, c, n):
 def streamed_yb(a, b, c, n, with_rhs=True):
     """The whole residual (a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a),
     or its lhs alone, from ``_core.yb_rows`` driven over every row."""
-    rows = _core.yb_rows(a._rows, b._rows, c._rows, n, range(n ** 3), with_rhs)
+    lhs = (a._rows, b._rows, c._rows)
+    rows = _core.yb_rows(lhs, lhs[::-1] if with_rhs else None, n, range(n ** 3))
     return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
 
 

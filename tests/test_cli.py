@@ -147,10 +147,10 @@ def test_bad_budget_in_suite_file_is_config_error(tmp_path, capsys):
 
 
 def test_d_list_above_max_d_is_config_error(capsys):
-    code, out, err = run_cli(["run", "--all", "--d-list", "10"], capsys)
+    code, out, err = run_cli(["run", "--all", "--d-list", "12"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("ybv: error: ") and "2 <= d <= 8" in err
+    assert err.startswith("ybv: error: ") and "2 <= d <= 10" in err
 
 
 @pytest.mark.parametrize("check", ["local_ybe", "integrand_symmetry"])
@@ -298,20 +298,30 @@ def test_suite_job_prints_what_check_prints(tmp_path, capsys, check, params):
 @pytest.mark.parametrize("check", ["ybe", "rll_fundamental"])
 def test_d_above_max_d_is_config_error_not_a_skip(capsys, monkeypatch, check):
     monkeypatch.delenv("YBV_BUDGET_DIM", raising=False)
-    code, out, err = run_cli(["check", check, "--d", "10"], capsys)
+    code, out, err = run_cli(["check", check, "--d", "12"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("ybv: error: ") and "2 <= d <= 8" in err
+    assert err.startswith("ybv: error: ") and "2 <= d <= 10" in err
 
 
 def test_d_above_max_d_runs_where_no_basis_is_built(capsys, monkeypatch):
     monkeypatch.delenv("YBV_BUDGET_DIM", raising=False)
-    code, out, _ = run_cli(["check", "fundamental_ybe", "--d", "10"], capsys)
+    code, out, _ = run_cli(["check", "fundamental_ybe", "--d", "12"], capsys)
     assert code == 0
     assert json.loads(out)["status"] == "pass"
     code, out, _ = run_cli(["check", "ybe", "--d", "8"], capsys)
     assert code == 0
     assert json.loads(out)["status"] == "skipped"
+
+
+def test_ybe_at_the_maximum_d_passes_and_a_planted_defect_fails(capsys):
+    code, out, _ = run_cli(["check", "ybe", "--d", "10", "--budget-dim", "100000"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    code, out, _ = run_cli(["check", "ybe", "--d", "10", "--budget-dim", "100000",
+                            "--perturb-k", "3"], capsys)
+    assert code == 1
+    assert json.loads(out)["detail"] == "YBE: first residual 25796225/8748 at entry (1,529)"
 
 
 def test_local_ybe_respects_budget(capsys, monkeypatch):

@@ -65,10 +65,9 @@ def test_d6_gamma5_traceless(bases):
 
 
 def test_build_gamma_rejects_bad_d():
-    for bad in (3, 0, -2, 10):
-        with pytest.raises(ValueError):
+    for bad in (3, 0, -2, 12):
+        with pytest.raises(ValueError, match="2 <= d <= 10"):
             build_gamma(bad)
-    build_gamma(10, max_d=12)  # the cap is configurable
 
 
 def test_antisym_empty_is_identity(bases):

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (classify_region, companion_point, dense_local_ybe_sides,
-                     invariants, jacobian_fd)
+                     invariants, jacobian_fd, streamed_local_ybe_sides)
 from ybverify import localyb as lyb
-from ybverify.clifford import build_gamma
+from ybverify.clifford import as_exp_components, build_gamma
+from ybverify.kernel import SparseOperator, yb_float_max
 from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, all_regions,
                               check_local_ybe, forward_map, integrand_symmetry_check,
                               inverse_map, jacobian, sample_triple, solve_primed)
@@ -255,10 +258,48 @@ def test_local_ybe_sides_match_dense_three_copy(d, points):
     basis = _basis(d)
     for p in points:
         q = solve_primed(p)
-        for new, ref in zip(lyb.local_ybe_sides(basis, p, q),
+        for new, ref in zip(streamed_local_ybe_sides(basis, p, q),
                             dense_local_ybe_sides(basis, p, q)):
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(new - ref)) <= 1e-12 * scale, (d, p)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+def test_weyl_lift_phases_share_one_modulus(d):
+    # so |entry| of a certified residual is constant on every row orbit
+    for g in build_gamma(d).weyl_lifts():
+        assert len({abs(v) for _, v in g.items()}) == 1, (d, g)
+
+
+def _streaming(basis, p):
+    """check_local_ybe at p, with the (lhs, rhs, rows) of every stream it took."""
+    streamed = []
+
+    def spy(lhs, rhs, n, rows):
+        streamed.append((lhs, rhs, rows))
+        return yb_float_max(lhs, rhs, n, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lyb, "yb_float_max", spy)
+        report = check_local_ybe(basis, p)
+    return report, streamed
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 4, 6]), x=st.floats(0.05, 4.0), y=st.floats(0.05, 4.0),
+       z=st.floats(0.05, 4.0), z_positive=st.booleans())
+def test_local_ybe_orbit_rows_match_all_rows(d, x, y, z, z_positive):
+    assume(abs(x - y) >= 0.05 and abs(x * y - 1) >= 0.05)
+    basis = _basis(d)
+    report, streamed = _streaming(basis, TripleXYZ(x, y, z if z_positive else -z))
+    (lhs, _, rows), (_, rhs, _) = streamed
+    assert rows == basis.row_symmetry().rows
+    n = basis.dim
+    every = range(n ** 3)
+    scale = yb_float_max(lhs, None, n, every)
+    assert yb_float_max(lhs, None, n, rows) == scale
+    residual = yb_float_max(lhs, rhs, n, every) / max(1.0, scale)
+    assert abs(report.max_residual - residual) <= 1e-12
 
 
 def _assert_every_point_fails(basis, d):
@@ -269,7 +310,7 @@ def _assert_every_point_fails(basis, d):
         assert report.max_residual > 1e-3, (d, p, report.max_residual)
 
 
-@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("d", [2, 4, 6])
 def test_local_ybe_fails_with_swapped_primed_point(monkeypatch, d):
     solve = lyb.solve_primed
 
@@ -281,7 +322,7 @@ def test_local_ybe_fails_with_swapped_primed_point(monkeypatch, d):
     _assert_every_point_fails(_basis(d), d)
 
 
-@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("d", [2, 4, 6])
 def test_local_ybe_fails_with_sign_flipped_component(monkeypatch, d):
     # S_2: flipping S_1 alone is E(t) -> E(-t) at d = 2, and the relation
     # holds at (-x, -y, -z) too, so that would be no defect
@@ -293,8 +334,30 @@ def test_local_ybe_fails_with_sign_flipped_component(monkeypatch, d):
         return tuple(comps)
 
     monkeypatch.setattr(lyb, "as_exp_components", flipped)
-    # a fresh basis: the shared one may already have its unflipped dense stack
-    _assert_every_point_fails(build_gamma(d), d)
+    _assert_every_point_fails(_basis(d), d)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_local_ybe_non_invariant_component_streams_every_row(monkeypatch, d):
+    # the shared basis has already certified its own components; a planted
+    # entry in S_1 must still fail the certificate, since it is taken on the
+    # components the factors are built from
+    basis = _basis(d)
+    assert check_local_ybe(basis, _sample_points(1)[0]).passed
+    components = lyb.as_exp_components
+    n2 = basis.dim ** 2
+
+    def planted(b):
+        comps = list(components(b))
+        comps[1] = comps[1] + SparseOperator.from_entries(n2, {(0, 1): 1})
+        return tuple(comps)
+
+    assert not basis.row_symmetry().certifies((0, 1), *planted(basis))
+    monkeypatch.setattr(lyb, "as_exp_components", planted)
+    for p in _sample_points(1):
+        report, streamed = _streaming(basis, p)
+        assert report.status is Status.FAIL and report.max_residual > 1e-3, (d, p)
+        assert [rows for _, _, rows in streamed] == [range(basis.dim ** 3)] * 2
 
 
 def test_integrand_symmetry_measure_only():

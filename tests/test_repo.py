@@ -74,21 +74,26 @@ def _imported_modules(path):
             yield node.module
 
 
+# quadrature runs on the in-house Gauss-Kronrod rule, and local_ybe on the
+# row kernel of the exact checks
+ARRAY_LIBRARIES = {"scipy", "numpy"}
+
+
 def test_no_source_module_imports_scipy():
-    # quadrature runs on the in-house Gauss-Kronrod rule
     sources = sorted((ROOT / "src" / "ybverify").glob("*.py"))
     assert sources
     offenders = {path.name: name for path in sources for name in _imported_modules(path)
-                 if name.split(".")[0] == "scipy"}
+                 if name.split(".")[0] in ARRAY_LIBRARIES}
     assert offenders == {}
+    assert [path.name for path in sources if "numpy" in path.read_text()] == []
 
 
 def test_full_suite_runs_without_scipy():
     script = ("import sys\n"
               "import ybverify.cli\n"
               "code = ybverify.cli.main(['run', '--all', '--d-list', '2'])\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code,\n"
-              "      file=sys.stderr)\n")
+              f"print(sorted(m for m in sys.modules if m.split('.')[0] in {ARRAY_LIBRARIES}),\n"
+              "      code, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
