@@ -2,9 +2,8 @@
 
 A grid is ``{row: {col: (re, im)}}`` with arbitrary-precision integer parts
 and no stored zeros.  All exact matrix arithmetic reduces to these
-functions, which ``ybverify.kernel`` wraps.  ``combine_grids`` and
-``yb_rows`` also take grids whose parts are floats, which the float local
-Yang-Baxter check multiplies.
+functions, which ``ybverify.kernel`` wraps.  ``yb_rows`` also takes grids
+whose parts are floats, which the float local Yang-Baxter check multiplies.
 """
 
 from math import gcd

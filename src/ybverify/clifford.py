@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import ExactScalar, RowSymmetry, SparseOperator, kron
+from .kernel import ExactScalar, PatternTable, RowSymmetry, SparseOperator, kron
 
 MAX_D = 10
 
@@ -40,6 +40,7 @@ class GammaBasis:
         self._components = None  # the As-components S_0..S_d
         self._lifts = None
         self._symmetries = {}
+        self._families = {}  # pattern tables by component tuple
 
     def gamma(self, a: int) -> SparseOperator:
         """gamma_a for a = 1..d (the paper's index convention)."""
@@ -207,17 +208,24 @@ def as_exp_components(basis: GammaBasis):
     return basis._components
 
 
+def component_family(basis: GammaBasis, comps) -> PatternTable:
+    """The pattern table of a component family ``comps`` on V (x) V of this
+    basis (the pair contractions T_0..T_d or the As-components S_0..S_d),
+    certified once against ``basis.row_symmetry()``.  Cached on the basis by
+    the tuple itself, so a patched tuple gets its own table and its own
+    certificate."""
+    family = basis._families.get(comps)
+    if family is None:
+        family = basis._families[comps] = PatternTable(comps, basis.row_symmetry())
+    return family
+
+
 def as_exponential(basis: GammaBasis, t) -> SparseOperator:
-    """The As-exponential E(t): matrix avatar of As(exp(t Gamma_1.Gamma_2))."""
+    """The As-exponential E(t): matrix avatar of As(exp(t Gamma_1.Gamma_2)),
+    sum_k t^k S_k from the pattern table of the As-components."""
     t = Fraction(t)
     comps = as_exp_components(basis)
-    acc = comps[0]
-    power = Fraction(1)
-    for k in range(1, len(comps)):
-        power *= t
-        if power and not comps[k].is_zero():
-            acc = acc + comps[k].scale(power)
-    return acc
+    return component_family(basis, comps).combination({k: t ** k for k in range(len(comps))})
 
 
 def exchange_pair(basis: GammaBasis):

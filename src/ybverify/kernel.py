@@ -12,7 +12,7 @@ The grid kernels live in ``_core``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import hypot, lcm
+from math import gcd, hypot, lcm
 
 from . import _core as _k
 
@@ -126,9 +126,15 @@ class SparseOperator:
     Immutable once constructed; all operations return new operators.  Entries
     are kept in canonical form: no stored zeros, denominator positive, and
     gcd(denominator, all numerator components) = 1, so equality is structural.
+
+    ``certified_lifts`` is a mark: the tuple of lifts g for which the operator,
+    on V (x) V, is known to commute exactly with every g (x) g, or None.  Only
+    ``PatternTable.combination`` sets it, on a combination of a family that
+    passed its certificate; every other constructor and operation leaves it
+    None, and ``==`` and ``hash`` ignore it.
     """
 
-    __slots__ = ("dim", "_rows", "_den")
+    __slots__ = ("dim", "_rows", "_den", "certified_lifts")
 
     def __init__(self, dim: int, rows=None, den: int = 1, _normalized=False):
         if dim <= 0:
@@ -138,6 +144,7 @@ class SparseOperator:
         self.dim = dim
         self._rows = rows or {}
         self._den = den
+        self.certified_lifts = None
         if not _normalized:
             self._normalize()
 
@@ -297,7 +304,8 @@ class SparseOperator:
                 and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.dim, self._den, self.nnz))
+        # O(1): component families are looked up by their operator tuples
+        return hash((self.dim, self._den, len(self._rows)))
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz})"
@@ -375,6 +383,11 @@ class RowSymmetry:
     together: the residual is zero iff every orbit minimum row is, and its
     first nonzero row is the least nonzero orbit minimum.  With no lifts
     every row is its own orbit.
+
+    ``certifies`` takes that commutation exactly, per operator.  An operator
+    built by ``PatternTable.combination`` from a family certified against
+    the same lifts carries them as its ``certified_lifts`` mark, and the row
+    reductions skip its certificate.
     """
 
     def __init__(self, lifts, dims):
@@ -460,6 +473,116 @@ def _orbit_minima(perms, dims) -> tuple:
     return tuple(minima)
 
 
+class PatternTable:
+    """A family of operators X_0..X_d on V (x) V, certified once, with its
+    stored positions grouped by weight pattern.
+
+    Over the family's common denominator, each stored position carries the
+    vector of its Gaussian-integer numerators in X_k, k in an index set;
+    positions with one vector take one value in every combination
+    sum_k c_k X_k.  So a combination evaluates each distinct vector once
+    and writes its positions: at d = 8 the 4240 stored entries of the
+    As-components fall on 1296 positions with 23 vectors.  The table of an
+    index set is built at its first use.
+
+    ``lifts`` is the slot-0 lifts of ``symmetry`` when every X_k commutes
+    exactly with every g (x) g (the family certificate, taken once at
+    construction), else None.  Each exact combination carries it as its
+    ``certified_lifts`` mark: a combination of invariant operators is
+    invariant."""
+
+    def __init__(self, ops, symmetry: RowSymmetry):
+        self.ops = tuple(ops)
+        self.dim = self.ops[0].dim
+        self.den = lcm(*(op._den for op in self.ops))
+        symmetry._require(symmetry.dims, (0, 1))
+        self.lifts = symmetry.lifts[0] if symmetry.certifies((0, 1), *self.ops) else None
+        self._tables = {}
+
+    def _table(self, ks):
+        """(vectors, layout) of the index tuple ks: vectors[p] holds the
+        (i, re, im) of the nonzero numerators of pattern p, i indexing ks,
+        and layout the (row, ((col, p), ...)) pairs of every position, rows
+        and columns in order of first appearance over X_k, k in ks."""
+        table = self._tables.get(ks)
+        if table is None:
+            weights = {}
+            for i, k in enumerate(ks):
+                op = self.ops[k]
+                f = self.den // op._den
+                for r, row in op._rows.items():
+                    for c, (re, im) in row.items():
+                        weights.setdefault((r, c), []).append((i, f * re, f * im))
+            index, layout = {}, {}
+            for (r, c), vec in weights.items():
+                p = index.setdefault(tuple(vec), len(index))
+                layout.setdefault(r, []).append((c, p))
+            table = self._tables[ks] = (tuple(index),
+                                        tuple((r, tuple(row)) for r, row in layout.items()))
+        return table
+
+    def combination(self, coeffs) -> SparseOperator:
+        """sum_k c_k X_k over the {k: c_k} mapping ``coeffs`` of exact
+        scalars, marked with ``lifts``: the coefficients over one
+        denominator, one Gaussian-integer dot product per pattern, the
+        positions of the nonzero patterns written, and one division by the
+        gcd of the pattern values."""
+        vectors, layout = self._table(tuple(coeffs))
+        cs = [c if isinstance(c, ExactScalar) else ExactScalar(c) for c in coeffs.values()]
+        q = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+        nums = [(c.re.numerator * (q // c.re.denominator),
+                 c.im.numerator * (q // c.im.denominator)) for c in cs]
+        values = []
+        for vec in vectors:
+            re = im = 0
+            for i, wr, wi in vec:
+                ar, ai = nums[i]
+                re += ar * wr - ai * wi
+                im += ar * wi + ai * wr
+            values.append((re, im))
+        den = q * self.den
+        g = gcd(den, *(x for v in values for x in v))
+        if g > 1:
+            values = [(re // g, im // g) for re, im in values]
+            den //= g
+        op = SparseOperator(self.dim, _write_patterns(layout, values), den, _normalized=True)
+        op.certified_lifts = self.lifts
+        return op
+
+    def float_combination(self, coeffs) -> dict:
+        """sum_k c_k X_k over the {k: c_k} mapping ``coeffs`` of real
+        floats, as a float grid ``{row: {col: (re, im)}}``: a factor of
+        ``yb_float_max``.  Each entry sums its terms in the order of k, as
+        an entrywise sum of the scaled X_k would."""
+        vectors, layout = self._table(tuple(coeffs))
+        cs = [c / self.den for c in coeffs.values()]
+        values = []
+        for vec in vectors:
+            re = im = 0.0
+            for i, wr, wi in vec:
+                re += cs[i] * wr
+                im += cs[i] * wi
+            values.append((re, im))
+        return _write_patterns(layout, values)
+
+
+def _write_patterns(layout, values) -> dict:
+    """The grid holding values[p] at every position of pattern p in
+    ``layout``, zero values dropped."""
+    values = [v if v[0] or v[1] else None for v in values]
+    grid = {}
+    for r, row in layout:
+        kept = {c: values[p] for c, p in row if values[p] is not None}
+        if kept:
+            grid[r] = kept
+    return grid
+
+
+def _uncertified(lifts, ops) -> list:
+    """The operators in ``ops`` whose mark does not name ``lifts``."""
+    return [op for op in ops if op.certified_lifts != lifts]
+
+
 def _first_row(stream, dim, den) -> SparseOperator:
     """The first (r, row) of a row stream as an operator holding that row
     alone, or zero if the stream is empty."""
@@ -482,32 +605,27 @@ def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
     product, and the stream stops at the first nonzero row.  If
     ``symmetry``, which must carry one set of lifts on all three slots,
     certifies a, b and c, only its orbit minima stream; otherwise every row
-    streams in order."""
+    streams in order.  An operand whose ``certified_lifts`` mark names
+    those lifts is invariant by construction and skips the certificate;
+    every other operand is certified here."""
     if not a.dim == b.dim == c.dim == n * n:
         raise ValueError(f"operator dims {a.dim}, {b.dim}, {c.dim} are not {n}*{n}")
     rows = range(n ** 3)
     if symmetry is not None:
         symmetry._require((n, n, n), (0, 1, 2))
-        if symmetry.certifies((0, 1), a, b, c):
+        if symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (a, b, c))):
             rows = symmetry.rows
     lhs = (a._rows, b._rows, c._rows)
     stream = _k.yb_rows(lhs, lhs[::-1] if with_rhs else None, n, rows)
     return _first_row(stream, n ** 3, a._den * b._den * c._den)
 
 
-def float_combination(terms) -> dict:
-    """Sum of c X over the (X, c) pairs in ``terms``, for operators X and
-    real floats c, as a float grid ``{row: {col: (re, im)}}``: a factor of
-    ``yb_float_max``."""
-    return _k.combine_grids([(op._rows, c / op._den, 0.0) for op, c in terms])
-
-
 def yb_float_max(lhs, rhs, n: int, rows) -> float:
     """The largest entry modulus, over the rows in ``rows``, of
     (A1 (x) 1)(1 (x) A2)(A3 (x) 1) - (1 (x) B1)(B2 (x) 1)(1 (x) B3) on
     V (x) V (x) V, dim V = n, for float grids lhs = (A1, A2, A3) and
-    rhs = (B1, B2, B3) from ``float_combination``; of the lhs alone when
-    ``rhs`` is None.  Rows stream as in ``yb_first_row``."""
+    rhs = (B1, B2, B3) from ``PatternTable.float_combination``; of the lhs
+    alone when ``rhs`` is None.  Rows stream as in ``yb_first_row``."""
     return max((hypot(*v) for _, row in _k.yb_rows(lhs, rhs, n, rows)
                 for v in row.values()), default=0.0)
 
@@ -523,7 +641,9 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
     them one product at a time, and the stream stops at the first nonzero
     row.  If ``symmetry``, on (V, V, W) with one set of lifts on both V
     slots, certifies R on slots (0, 1) and Lu, Lv on slots (0, 2), only its
-    orbit minima stream; otherwise every row streams in order."""
+    orbit minima stream; otherwise every row streams in order.  An R whose
+    ``certified_lifts`` mark names the V lifts skips its certificate; Lu
+    and Lv, whose lifts on W are input data, are always certified."""
     if R.dim != n * n or Lu.dim != n * m or Lv.dim != n * m:
         raise ValueError(f"operator dims {R.dim}, {Lu.dim}, {Lv.dim} are not "
                          f"{n}*{n}, {n}*{m}, {n}*{m}")
@@ -531,7 +651,8 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
     rows = range(n * n * m)
     if symmetry is not None:
         symmetry._require(dims, (0, 1))
-        if symmetry.certifies((0, 1), R) and symmetry.certifies((0, 2), Lu, Lv):
+        if (symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (R,)))
+                and symmetry.certifies((0, 2), Lu, Lv)):
             rows = symmetry.rows
     R12 = embed_pair(R, (0, 1), dims)
     lhs = (R12, embed_pair(Lu, (0, 2), dims), embed_pair(Lv, (1, 2), dims))

@@ -21,8 +21,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .clifford import GammaBasis, as_exp_components
-from .kernel import float_combination, yb_float_max
+from .clifford import GammaBasis, as_exp_components, component_family
+from .kernel import PatternTable, yb_float_max
 from .relations import DEFAULT_SEED, CheckReport, Status, _Timer
 
 DEFAULT_MATRIX_TOL = 1e-9
@@ -165,26 +165,28 @@ def jacobian(p: TripleXYZ):
 # the local Yang-Baxter relation in floats
 # ---------------------------------------------------------------------------
 
-def as_exponential_float(comps, t: float, prefactor: float = 1.0) -> dict:
-    """prefactor * E(t) = prefactor * sum_k t^k S_k as a float grid, for the
-    As-components ``comps`` = (S_0, ..., S_d)."""
+def as_exponential_float(family: PatternTable, t: float, prefactor: float = 1.0) -> dict:
+    """prefactor * E(t) = prefactor * sum_k t^k S_k as a float grid, from the
+    pattern table ``family`` of the As-components (S_0, ..., S_d): one value
+    per weight pattern."""
     t = float(t)
-    return float_combination([(s, prefactor * t ** k) for k, s in enumerate(comps)])
+    return family.float_combination({k: prefactor * t ** k for k in range(len(family.ops))})
 
 
-def local_ybe_factors(comps, p: TripleXYZ, q: TripleXYZ):
+def local_ybe_factors(family: PatternTable, p: TripleXYZ, q: TripleXYZ):
     """The factors (a, b, c) and (c', b', a') of the two sides
     (1-xy)^-d E12(y) E23(z) E12(x) = (a (x) 1)(1 (x) b)(c (x) 1) and
     (1-x'y')^-d E23(x') E12(z') E23(y') = (1 (x) c')(b' (x) 1)(1 (x) a')
-    at p and its primed partner q, as float grids over the As-components
-    ``comps``; each prefactor is folded into one factor."""
-    d = len(comps) - 1
+    at p and its primed partner q, as float grids from the pattern table
+    ``family`` of the As-components; each prefactor is folded into one
+    factor."""
+    d = len(family.ops) - 1
     x, y, z = (float(v) for v in p)
     xp, yp, zp = (float(v) for v in q)
-    lhs = (as_exponential_float(comps, y, (1 - x * y) ** (-d)),
-           as_exponential_float(comps, z), as_exponential_float(comps, x))
-    rhs = (as_exponential_float(comps, xp), as_exponential_float(comps, zp),
-           as_exponential_float(comps, yp, (1 - xp * yp) ** (-d)))
+    lhs = (as_exponential_float(family, y, (1 - x * y) ** (-d)),
+           as_exponential_float(family, z), as_exponential_float(family, x))
+    rhs = (as_exponential_float(family, xp), as_exponential_float(family, zp),
+           as_exponential_float(family, yp, (1 - xp * yp) ** (-d)))
     return lhs, rhs
 
 
@@ -195,12 +197,12 @@ def check_local_ybe(basis: GammaBasis, p: TripleXYZ,
 
     The sides stream row by row from the two-copy factors (see
     ``local_ybe_factors``), so no three-copy array is built.  When the
-    basis row symmetry certifies every As-component exactly, each E(t) and
-    so both sides and their difference commute with every g (x) g (x) g; the
-    lifts' phases have one modulus, so |entry| takes the same values on
-    every row of an orbit, and only the orbit minima stream.  Otherwise
-    every row does.  The certificate is taken on the very components the
-    factors are built from.
+    family certificate of the As-components holds, each E(t) and so both
+    sides and their difference commute with every g (x) g (x) g; the lifts'
+    phases have one modulus, so |entry| takes the same values on every row
+    of an orbit, and only the orbit minima stream.  Otherwise every row
+    does.  The certificate is the pattern table's, taken once on the very
+    components the factors are built from.
 
     The residual is measured relative to the matrices' own scale (the
     relation is covariant under rescaling, so an absolute entry tolerance
@@ -210,11 +212,11 @@ def check_local_ybe(basis: GammaBasis, p: TripleXYZ,
     with _Timer() as t_:
         q = solve_primed(p)
         xp, yp, zp = (float(v) for v in q)
-        comps = as_exp_components(basis)
+        family = component_family(basis, as_exp_components(basis))
         symmetry = basis.row_symmetry()
         n = basis.dim
-        rows = symmetry.rows if symmetry.certifies((0, 1), *comps) else range(n ** 3)
-        lhs, rhs = local_ybe_factors(comps, p, q)
+        rows = symmetry.rows if family.lifts == symmetry.lifts[0] else range(n ** 3)
+        lhs, rhs = local_ybe_factors(family, p, q)
         scale = max(1.0, yb_float_max(lhs, None, n, rows))
         residual = yb_float_max(lhs, rhs, n, rows) / scale
     status = Status.PASS if residual < tol else Status.FAIL

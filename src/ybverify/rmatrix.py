@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .clifford import GammaBasis, antisym_product, as_exp_components
+from .clifford import GammaBasis, antisym_product, as_exp_components, component_family
 from .kernel import ExactScalar, SparseOperator, combination, kron
 
 
@@ -227,24 +227,27 @@ def assemble_spinor_R(basis: GammaBasis, table: CoefficientTable,
 
     The primed dressing T_k (gamma5^k (x) 1) is s_k S_k, with S_k the
     As-components of E(t) and s_k = (-1)^(k(k-1)/2), so the primed matrix is
-    Sum_k s_k R_k(u) S_k over the cached components.
+    Sum_k s_k R_k(u) S_k: the sign goes on the coefficient.  Each parity
+    part is the pattern map of its family (``clifford.component_family``
+    of the T_k, or of the S_k for the primed rep): the coefficients over one
+    denominator, one dot product per weight pattern, written to the
+    pattern's positions.  A part from a family that passed its certificate
+    carries the Weyl lifts as its ``certified_lifts`` mark.  The
+    double-primed odd part is -(Sum_odd R_k T_k)(1 (x) gamma5), a product,
+    and carries no mark.
     """
     if table.d != basis.d:
         raise ValueError(f"table is for d={table.d}, basis for d={basis.d}")
-    comps = as_exp_components(basis) if rep is RepChoice.PRIMED else None
+    primed = rep is RepChoice.PRIMED
+    if primed:
+        comps = as_exp_components(basis)
+    else:
+        comps = tuple(basis.pair_contraction(k) for k in range(basis.d + 1))
+    family = component_family(basis, comps)
 
     def part(ks):
-        # every scaled term in one grid, normalized once
-        terms = []
-        for k in ks:
-            coeff = table[k]
-            if not coeff:
-                continue
-            if comps is None:
-                terms.append((basis.pair_contraction(k), coeff))
-            else:
-                terms.append((comps[k], -coeff if (k * (k - 1) // 2) % 2 else coeff))
-        return combination(terms, basis.dim * basis.dim)
+        return family.combination(
+            {k: -table[k] if primed and (k * (k - 1) // 2) % 2 else table[k] for k in ks})
 
     evens, odds = range(0, basis.d + 1, 2), range(1, basis.d + 1, 2)
     if rep is RepChoice.DOUBLE_PRIMED and parity is not Parity.EVEN:
@@ -310,6 +313,7 @@ class QuantumRep:
         self.m = m
         self._gens = gens  # {(a, b): op} for a < b, 1-based
         self.lifts = None if lifts is None else tuple(lifts)
+        self._couplings = {}  # the u-independent part of quantum_L, by basis
 
     def gen(self, a: int, b: int) -> SparseOperator:
         if not (1 <= a <= self.d and 1 <= b <= self.d):
@@ -362,9 +366,10 @@ def so_defining_rep(d: int) -> QuantumRep:
     return QuantumRep(d, d, gens, lifts)
 
 
+@lru_cache(maxsize=None)
 def so_spinor_rep(basis: GammaBasis) -> QuantumRep:
     """The spinor representation M_ab = (i/2) gamma_ab, whose lifts are the
-    Weyl lifts themselves."""
+    Weyl lifts themselves.  Cached by basis, as ``so_defining_rep`` is by d."""
     half_i = ExactScalar(0, Fraction(1, 2))
     gens = {}
     for a in range(1, basis.d + 1):
@@ -375,12 +380,18 @@ def so_spinor_rep(basis: GammaBasis) -> QuantumRep:
 
 def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
     """L-operator u + (i/4) gamma_ab (x) M^ab on (spinor (x) quantum space);
-    the double index sum runs over ordered pairs with weight 2."""
+    the double index sum runs over ordered pairs with weight 2.
+
+    It is u 1 + K with K = sum_{a<b} (i/2) gamma_ab (x) M_ab, which does not
+    depend on u: K is built once per (basis, q) and kept on q, so two
+    representations never share one, whatever their values."""
     if q.d != basis.d:
         raise ValueError(f"quantum rep is for d={q.d}, basis for d={basis.d}")
-    half_i = ExactScalar(0, Fraction(1, 2))  # 2 * i/4
-    terms = [(SparseOperator.identity(basis.dim * q.m), Fraction(u))]
-    for a in range(1, basis.d + 1):
-        for b in range(a + 1, basis.d + 1):
-            terms.append((kron(antisym_product(basis, (a, b)), q.gen(a, b)), half_i))
-    return combination(terms, basis.dim * q.m)
+    dim = basis.dim * q.m
+    coupling = q._couplings.get(basis)
+    if coupling is None:
+        half_i = ExactScalar(0, Fraction(1, 2))  # 2 * i/4
+        coupling = q._couplings[basis] = combination(
+            [(kron(antisym_product(basis, (a, b)), q.gen(a, b)), half_i)
+             for a in range(1, basis.d + 1) for b in range(a + 1, basis.d + 1)], dim)
+    return combination([(SparseOperator.identity(dim), Fraction(u)), (coupling, 1)], dim)

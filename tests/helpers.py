@@ -15,8 +15,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from ybverify import _core
-from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron
-from ybverify.clifford import as_exp_components
+from ybverify.kernel import ExactScalar, SparseOperator, combination, embed_pair, kron
+from ybverify.clifford import antisym_product, as_exp_components, component_family
 from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, forward_map,
                               local_ybe_factors)
 from ybverify.rmatrix import CoefficientTable, Normalization, PoleError
@@ -164,7 +164,7 @@ def streamed_local_ybe_sides(basis, p, q):
     partner q as dense arrays, from ``_core.yb_rows`` driven over every row
     of the float factors ``localyb.local_ybe_factors``: the lhs stream
     alone, and the rhs as the negated stream of an empty lhs."""
-    lhs, rhs = local_ybe_factors(as_exp_components(basis), p, q)
+    lhs, rhs = local_ybe_factors(component_family(basis, as_exp_components(basis)), p, q)
     n = basis.dim
     sides = []
     for factors, sign in (((lhs, None), 1), ((({}, {}, {}), rhs), -1)):
@@ -257,6 +257,51 @@ def dressed_spinor_R(basis, table, rep, parity):
     elif rep is RepChoice.DOUBLE_PRIMED:
         odd = -(odd @ kron(ident, basis.gamma5))
     return {Parity.EVEN: even, Parity.ODD: odd, Parity.FULL: even + odd}[parity]
+
+
+def combination_spinor_R(basis, table, rep, parity):
+    """The spinorial R-matrix as one ``kernel.combination`` per parity part
+    over every stored entry of the T_k (naive, double-primed) or of the
+    As-components with s_k R_k (primed), the double-primed odd part then
+    dressed with -(1 (x) gamma5): the reference for
+    ``rmatrix.assemble_spinor_R``, which evaluates each weight pattern
+    once instead."""
+    from ybverify.rmatrix import Parity, RepChoice
+
+    comps = as_exp_components(basis) if rep is RepChoice.PRIMED else None
+
+    def part(ks):
+        terms = []
+        for k in ks:
+            coeff = table[k]
+            if comps is None:
+                terms.append((basis.pair_contraction(k), coeff))
+            else:
+                terms.append((comps[k], -coeff if (k * (k - 1) // 2) % 2 else coeff))
+        return combination(terms, basis.dim * basis.dim)
+
+    evens, odds = range(0, basis.d + 1, 2), range(1, basis.d + 1, 2)
+    if rep is RepChoice.DOUBLE_PRIMED and parity is not Parity.EVEN:
+        odd = part(odds)
+        if not odd.is_zero():
+            odd = -(odd @ kron(SparseOperator.identity(basis.dim), basis.gamma5))
+        return odd if parity is Parity.ODD else part(evens) + odd
+    return part({Parity.EVEN: evens, Parity.ODD: odds,
+                 Parity.FULL: range(basis.d + 1)}[parity])
+
+
+def combination_quantum_L(basis, u, q):
+    """u 1 + (i/2) sum_{a<b} gamma_ab (x) M_ab as one ``kernel.combination``
+    of the identity and every Kronecker term: the reference for
+    ``rmatrix.quantum_L``, which builds the u-independent part once per
+    (basis, q)."""
+    half_i = ExactScalar(0, Fraction(1, 2))
+    dim = basis.dim * q.m
+    terms = [(SparseOperator.identity(dim), Fraction(u))]
+    for a in range(1, basis.d + 1):
+        for b in range(a + 1, basis.d + 1):
+            terms.append((kron(antisym_product(basis, (a, b)), q.gen(a, b)), half_i))
+    return combination(terms, dim)
 
 
 def dense_mul(a, b):

@@ -237,6 +237,7 @@ def test_rll_quantum_spinor_recorded_outcomes():
     assert even_only.passed
     full = rel.check_rll_quantum(6, Fraction(1), V, q6, "spinor")
     assert full.status is rel.Status.FAIL
+    assert full.detail == "RLL: first residual 5/2 at entry (35,280)"
 
 
 def test_unitarity():
@@ -481,12 +482,27 @@ def _ybe_detail(a, b, c, n):
     return f"YBE: first residual {value} at entry ({r},{col})"
 
 
+# the recorded first residual of each perturbed coefficient R_k, k = 0..d
+PERTURBED_YBE = {
+    4: ["-5/36 at entry (1,1)", "-5/6 at entry (1,11)", "-25/18 at entry (1,1)",
+        "-5/6 at entry (1,11)", "-5/36 at entry (1,1)"],
+    6: ["-595/648 at entry (1,1)", "-595/108 at entry (1,37)", "-595/72 at entry (1,1)",
+        "1190/27 at entry (35,35)", "595/72 at entry (1,1)", "595/108 at entry (1,37)",
+        "595/648 at entry (1,1)"],
+    8: ["-68425/5832 at entry (1,1)", "-68425/972 at entry (1,137)",
+        "-68425/729 at entry (1,1)", "68425/972 at entry (1,137)", "68425/324 at entry (1,1)",
+        "68425/972 at entry (1,137)", "-68425/729 at entry (1,1)",
+        "-68425/972 at entry (1,137)", "-68425/5832 at entry (1,1)"],
+}
+
+
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_perturbed_ybe_keeps_full_stream_detail(d):
     for k in range(d + 1):
         report = rel.check_ybe(d, U, V, budget=100000, perturb_k=k)
         assert report.status is rel.Status.FAIL, (d, k)
         assert report.detail == _ybe_detail(*_spinor_triple(d, perturb_k=k), 2 ** (d // 2))
+        assert report.detail == f"YBE: first residual {PERTURBED_YBE[d][k]}", (d, k)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])

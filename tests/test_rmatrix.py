@@ -2,19 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ybverify.clifford import build_gamma
-from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron
-from ybverify.rmatrix import (Normalization, Parity,
-                              PoleError, RepChoice, assemble_spinor_R,
+from ybverify import _core
+from ybverify.clifford import as_exp_components, as_exponential, build_gamma
+from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron, yb_first_row
+from ybverify.rmatrix import (CoefficientTable, Normalization, Parity,
+                              PoleError, QuantumRep, RepChoice, assemble_spinor_R,
                               base_values, coefficients, fundamental_L0,
                               fundamental_R0, product_form_slope_at_zero,
                               projectors, quantum_L, so_defining_rep,
                               so_spinor_rep)
 
-from helpers import (coefficients_closed_form, dressed_spinor_R, fundamental_L0_loop,
-                     reciprocity_holds, recurrence_holds, satisfies_so_relations,
-                     weyl_projectors)
+from helpers import (coefficients_closed_form, combination_quantum_L, combination_spinor_R,
+                     dressed_spinor_R, fundamental_L0_loop, reciprocity_holds,
+                     recurrence_holds, satisfies_so_relations, weyl_projectors)
 
 U_SAMPLES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2),
              Fraction(-1, 5), Fraction(-3, 7)]
@@ -178,6 +181,130 @@ def test_assemble_matches_dressed_oracle(bases, d):
                 assert assemble_spinor_R(bases[d], table, rep, parity) == want, (u, rep, parity)
 
 
+_wide = st.integers(10 ** 8, 10 ** 10 - 1)   # 9-10 digits
+_signed_wide = st.builds(Fraction, st.builds(lambda s, n: s * n, st.sampled_from([1, -1]), _wide),
+                         _wide)
+
+
+@st.composite
+def spinor_tables(draw):
+    """A coefficient table for some d = 2..8: the product-form table at a
+    random u, each R_k kept, zeroed or replaced by a Gaussian rational with
+    9-10 digit parts, and then perhaps ``perturbed``."""
+    d = draw(st.sampled_from([2, 4, 6, 8]))
+    u = draw(st.fractions(-5, 5, max_denominator=9))
+    values = list(coefficients(d, u, Normalization.PRODUCT_FORM).values)
+    for k in range(d + 1):
+        kind = draw(st.sampled_from(["keep", "zero", "wide"]))
+        if kind == "zero":
+            values[k] = ExactScalar(0)
+        elif kind == "wide":
+            values[k] = ExactScalar(draw(_signed_wide), draw(_signed_wide))
+    table = CoefficientTable(d, u, Normalization.PRODUCT_FORM, tuple(values))
+    if draw(st.booleans()):
+        table = table.perturbed(draw(st.integers(0, d)),
+                                draw(st.fractions(-3, 3, max_denominator=5)))
+    return table
+
+
+@given(spinor_tables())
+@settings(deadline=None, max_examples=40)
+def test_assemble_matches_combination_oracle(bases, table):
+    basis = bases[table.d]
+    for rep in RepChoice:
+        for parity in Parity:
+            want = combination_spinor_R(basis, table, rep, parity)
+            assert assemble_spinor_R(basis, table, rep, parity) == want, (rep, parity)
+
+
+# --- the invariance mark -------------------------------------------------------
+
+def _planted(op):
+    return op + SparseOperator.from_entries(op.dim, {(0, 1): 1})
+
+
+def _streamed_rows(monkeypatch):
+    """The ``rows`` argument of every ``_core.yb_rows`` call, as recorded."""
+    seen = []
+    yb_rows = _core.yb_rows
+
+    def spy(lhs, rhs, n, rows):
+        seen.append(rows)
+        return yb_rows(lhs, rhs, n, rows)
+
+    monkeypatch.setattr(_core, "yb_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_assembled_R_carries_the_weyl_lifts(bases, d):
+    basis = bases[d]
+    table = coefficients(d, Fraction(1, 2), Normalization.PRODUCT_FORM)
+    for rep in RepChoice:
+        for parity in Parity:
+            R = assemble_spinor_R(basis, table, rep, parity)
+            dressed = rep is RepChoice.DOUBLE_PRIMED and parity is not Parity.EVEN
+            # the double-primed odd part is a product, and products are unmarked
+            assert R.certified_lifts == (None if dressed else basis.weyl_lifts()), (rep, parity)
+    assert as_exponential(basis, Fraction(1, 3)).certified_lifts == basis.weyl_lifts()
+
+
+def test_operations_leave_the_mark_unset(bases):
+    basis = bases[4]
+    R = assemble_spinor_R(basis, coefficients(4, Fraction(1, 2), Normalization.PRODUCT_FORM),
+                          RepChoice.PRIMED)
+    assert R.certified_lifts == basis.weyl_lifts()
+    everything = list(range(R.dim))
+    copy = SparseOperator.from_entries(R.dim, dict(R.items()))
+    derived = [R + R, R - R, R @ R, R.scale(2), -R, copy, R.permuted(everything),
+               R.submatrix(everything, everything)]
+    assert all(op.certified_lifts is None for op in derived)
+    assert copy == R and hash(copy) == hash(R)
+    assert R.permuted(everything) == R.submatrix(everything, everything) == R
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_planted_entry_drops_the_mark_and_streams_every_row(bases, monkeypatch, d):
+    basis = bases[d]
+    n = basis.dim
+    R = [assemble_spinor_R(basis, coefficients(d, u, Normalization.PRODUCT_FORM),
+                           RepChoice.PRIMED)
+         for u in (Fraction(1, 2), Fraction(5, 6), Fraction(1, 3))]
+    R[0] = _planted(R[0])
+    assert R[0].certified_lifts is None
+    ordered = yb_first_row(*R, n).first_nonzero()
+    seen = _streamed_rows(monkeypatch)
+    assert yb_first_row(*R, n, basis.row_symmetry()).first_nonzero() == ordered
+    assert ordered is not None and seen == [range(n ** 3)]
+
+
+@pytest.mark.parametrize("rep", [RepChoice.NAIVE, RepChoice.PRIMED])
+@pytest.mark.parametrize("d", [4, 6])
+def test_planted_component_leaves_R_unmarked(monkeypatch, rep, d):
+    # a fresh basis whose T_1 or S_1 holds a non-invariant entry: its family
+    # fails the certificate, so R is unmarked and is certified (and fails)
+    # at the row reduction
+    basis = build_gamma(d)
+    if rep is RepChoice.NAIVE:
+        basis.pair_contraction(0)
+        comps = list(basis._contractions)
+    else:
+        comps = list(as_exp_components(basis))
+    comps[1] = _planted(comps[1])
+    assert not basis.row_symmetry().certifies((0, 1), comps[1])
+    if rep is RepChoice.NAIVE:
+        basis._contractions = tuple(comps)
+    else:
+        basis._components = tuple(comps)
+    table = coefficients(d, Fraction(1, 2), Normalization.PRODUCT_FORM)
+    R = assemble_spinor_R(basis, table, rep)
+    assert R.certified_lifts is None
+    assert R == combination_spinor_R(basis, table, rep, Parity.FULL)
+    seen = _streamed_rows(monkeypatch)
+    yb_first_row(R, R, R, basis.dim, basis.row_symmetry())
+    assert seen == [range(basis.dim ** 3)]
+
+
 def test_rep_dressing_relation(bases):
     # primed odd part = naive odd part right-multiplied by gamma5 (x) 1;
     # double-primed = -(naive odd) (1 (x) gamma5)
@@ -325,6 +452,33 @@ def test_quantum_L_defining_equals_fundamental():
             want = fundamental_L0_loop(basis, u)
             assert quantum_L(basis, u, q) == want, (d, u)
             assert fundamental_L0(basis, u) == want, (d, u)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_quantum_L_matches_combination_oracle(bases, d):
+    basis = bases[d]
+    defining = so_defining_rep(d)
+    custom = QuantumRep(d, d, dict(defining._gens), defining.lifts)
+    for q in (defining, so_spinor_rep(basis), custom):
+        for u in (Fraction(0), Fraction(1, 2), Fraction(-3, 7)):
+            assert quantum_L(basis, u, q) == combination_quantum_L(basis, u, q), (q, u)
+
+
+def test_reps_with_equal_m_never_share_a_coupling(bases):
+    basis = bases[4]
+    q = so_defining_rep(4)
+    negated = QuantumRep(4, 4, {ab: -op for ab, op in q._gens.items()}, q.lifts)
+    u = Fraction(1, 2)
+    L, L_negated = quantum_L(basis, u, q), quantum_L(basis, u, negated)
+    assert L_negated == combination_quantum_L(basis, u, negated)
+    assert L_negated != L
+    assert quantum_L(basis, u, q) == L == combination_quantum_L(basis, u, q)
+
+
+def test_spinor_rep_is_cached_per_basis(bases):
+    basis = bases[6]
+    assert so_spinor_rep(basis) is so_spinor_rep(basis)
+    assert so_spinor_rep(build_gamma(6)) is not so_spinor_rep(basis)
 
 
 def test_quantum_L_pure_generator_part(bases):
