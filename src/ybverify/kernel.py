@@ -128,10 +128,12 @@ class SparseOperator:
     gcd(denominator, all numerator components) = 1, so equality is structural.
 
     ``certified_lifts`` is a mark: the tuple of lifts g for which the operator,
-    on V (x) V, is known to commute exactly with every g (x) g, or None.  Only
-    ``PatternTable.combination`` sets it, on a combination of a family that
-    passed its certificate; every other constructor and operation leaves it
-    None, and ``==`` and ``hash`` ignore it.
+    on V (x) V, is known to commute exactly with every g (x) g; or, on
+    V (x) W, the pair (lifts g on V, lifts h on W) of every g (x) h; or None.
+    Only ``PatternTable.combination`` sets it, on a combination of a family
+    that passed its certificate, and ``rmatrix.quantum_L``, on u 1 + K for a
+    certified K; every other constructor and operation leaves it None, and
+    ``==`` and ``hash`` ignore it.
     """
 
     __slots__ = ("dim", "_rows", "_den", "certified_lifts")
@@ -385,9 +387,10 @@ class RowSymmetry:
     every row is its own orbit.
 
     ``certifies`` takes that commutation exactly, per operator.  An operator
-    built by ``PatternTable.combination`` from a family certified against
-    the same lifts carries them as its ``certified_lifts`` mark, and the row
-    reductions skip its certificate.
+    whose ``certified_lifts`` mark names the lifts of its slots (a
+    ``PatternTable.combination`` of a certified family, or a
+    ``rmatrix.quantum_L`` of a certified K) skips its certificate in the row
+    reductions.
     """
 
     def __init__(self, lifts, dims):
@@ -642,8 +645,9 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
     row.  If ``symmetry``, on (V, V, W) with one set of lifts on both V
     slots, certifies R on slots (0, 1) and Lu, Lv on slots (0, 2), only its
     orbit minima stream; otherwise every row streams in order.  An R whose
-    ``certified_lifts`` mark names the V lifts skips its certificate; Lu
-    and Lv, whose lifts on W are input data, are always certified."""
+    ``certified_lifts`` mark names the V lifts, and an L whose mark names
+    the (V, W) lifts, skip their certificates; every other operand is
+    certified here."""
     if R.dim != n * n or Lu.dim != n * m or Lv.dim != n * m:
         raise ValueError(f"operator dims {R.dim}, {Lu.dim}, {Lv.dim} are not "
                          f"{n}*{n}, {n}*{m}, {n}*{m}")
@@ -651,8 +655,9 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
     rows = range(n * n * m)
     if symmetry is not None:
         symmetry._require(dims, (0, 1))
+        vw = (symmetry.lifts[0], symmetry.lifts[2])
         if (symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (R,)))
-                and symmetry.certifies((0, 2), Lu, Lv)):
+                and symmetry.certifies((0, 2), *_uncertified(vw, (Lu, Lv)))):
             rows = symmetry.rows
     R12 = embed_pair(R, (0, 1), dims)
     lhs = (R12, embed_pair(Lu, (0, 2), dims), embed_pair(Lv, (1, 2), dims))

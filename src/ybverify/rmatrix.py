@@ -131,6 +131,54 @@ def base_values(d: int, u, norm: Normalization):
 
 
 def coefficients(d: int, u, norm: Normalization) -> CoefficientTable:
+    """Coefficient table R_0(u)..R_d(u) at the rational point u, for even
+    d >= 2.
+
+    The product-form table evaluates the cached integer polynomials of
+    ``product_form_polynomials`` at u = p/q, each numerator homogeneously
+    as sum_i c_i p^i q^(d/2 - i) over the one denominator 2^(d/2) q^(d/2).
+    The other normalizations run the two-step recurrence from their
+    (R_0, R_1) seeds (``recurrence_table``).
+    """
+    if d < 2 or d % 2:
+        raise ValueError(f"d must be even with d >= 2, got {d}")
+    u = Fraction(u)
+    if norm is not Normalization.PRODUCT_FORM:
+        return recurrence_table(d, u, norm)
+    half = d // 2
+    p, q = u.numerator, u.denominator
+    powers = [p ** i * q ** (half - i) for i in range(half + 1)]
+    den = q ** half << half
+    return CoefficientTable(d, u, norm, tuple(
+        ExactScalar(Fraction(sum(c * x for c, x in zip(poly, powers) if c), den))
+        for poly in product_form_polynomials(d)))
+
+
+@lru_cache(maxsize=None)
+def product_form_polynomials(d: int) -> tuple:
+    """2^(d/2) R_k(u), k = 0..d, of the product-form table as integer
+    coefficient tuples, lowest degree first, each padded to degree d/2.
+
+    With (x/2)_n = 2^-n prod_{j<n} (x + 2j) and m = d/2, the closed forms
+    of R_2k and R_2k+1 give
+        2^m R_2k   = (-1)^k prod_{j<k} (u + 2j) prod_{j<m-k} (u + 2j),
+        2^m R_2k+1 = (-1)^k prod_{j<k} (u + 1 + 2j) prod_{j<m-1-k} (u + 1 + 2j),
+    of degree m and m - 1.  Built once per d.
+    """
+    half = d // 2
+    polys = []
+    for k in range(d + 1):
+        j, odd = divmod(k, 2)
+        poly = [-1 if j % 2 else 1]
+        for n in (j, half - odd - j):
+            for i in range(n):
+                # times (u + odd + 2i)
+                poly = [(odd + 2 * i) * a + b for a, b in zip(poly + [0], [0] + poly)]
+        polys.append(tuple(poly + [0] * (half + 1 - len(poly))))
+    return tuple(polys)
+
+
+def recurrence_table(d: int, u: Fraction, norm: Normalization) -> CoefficientTable:
     """Coefficient table via the two-step recurrence from (R_0, R_1).
 
     Each table entry is a rational function of u, so the recurrence runs on
@@ -202,20 +250,15 @@ def normalization_weights(d: int, u, norm: Normalization):
 
 
 def product_form_slope_at_zero(d: int):
-    """lim_{u->0} R_k(u)/u for the product-form table, as exact Fractions.
-
-    Every even coefficient vanishes linearly at u = 0, so the limits are the
-    eps-coefficients of the (polynomial) closed form evaluated at u = eps.
-    """
-    eps = _Dual(0, 1)
-    half = d // 2
+    """lim_{u->0} R_k(u)/u for the product-form table, as exact Fractions
+    for even k (None for odd k): the u^1 coefficients of the even
+    ``product_form_polynomials`` over 2^(d/2).  Every even coefficient
+    vanishes at u = 0; a nonzero constant term raises ArithmeticError."""
     slopes = [None] * (d + 1)
-    for k in range(half + 1):
-        sign = -1 if k % 2 else 1
-        val = _poch(eps / 2, k) * _poch(eps / 2, half - k) * sign
-        if val.a != 0:
+    for k, poly in enumerate(product_form_polynomials(d)[::2]):
+        if poly[0]:
             raise ArithmeticError(f"R_{2 * k} does not vanish at u = 0")
-        slopes[2 * k] = val.b
+        slopes[2 * k] = Fraction(poly[1], 2 ** (d // 2))
     return slopes
 
 
@@ -313,7 +356,7 @@ class QuantumRep:
         self.m = m
         self._gens = gens  # {(a, b): op} for a < b, 1-based
         self.lifts = None if lifts is None else tuple(lifts)
-        self._couplings = {}  # the u-independent part of quantum_L, by basis
+        self._couplings = {}  # (K, mark) of quantum_L, by basis
 
     def gen(self, a: int, b: int) -> SparseOperator:
         if not (1 <= a <= self.d and 1 <= b <= self.d):
@@ -384,14 +427,25 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
 
     It is u 1 + K with K = sum_{a<b} (i/2) gamma_ab (x) M_ab, which does not
     depend on u: K is built once per (basis, q) and kept on q, so two
-    representations never share one, whatever their values."""
+    representations never share one, whatever their values.  K is
+    certified once there against ``basis.row_symmetry(q)``, and since u 1
+    commutes with every lift, each L of an invariant K carries the
+    (V, W) lifts as its ``certified_lifts`` mark."""
     if q.d != basis.d:
         raise ValueError(f"quantum rep is for d={q.d}, basis for d={basis.d}")
     dim = basis.dim * q.m
-    coupling = q._couplings.get(basis)
-    if coupling is None:
+    entry = q._couplings.get(basis)
+    if entry is None:
         half_i = ExactScalar(0, Fraction(1, 2))  # 2 * i/4
-        coupling = q._couplings[basis] = combination(
+        coupling = combination(
             [(kron(antisym_product(basis, (a, b)), q.gen(a, b)), half_i)
              for a in range(1, basis.d + 1) for b in range(a + 1, basis.d + 1)], dim)
-    return combination([(SparseOperator.identity(dim), Fraction(u)), (coupling, 1)], dim)
+        symmetry = basis.row_symmetry(q)
+        mark = None
+        if symmetry is not None and symmetry.certifies((0, 2), coupling):
+            mark = (symmetry.lifts[0], symmetry.lifts[2])
+        entry = q._couplings[basis] = (coupling, mark)
+    coupling, mark = entry
+    L = combination([(SparseOperator.identity(dim), Fraction(u)), (coupling, 1)], dim)
+    L.certified_lifts = mark
+    return L

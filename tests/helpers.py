@@ -19,7 +19,7 @@ from ybverify.kernel import ExactScalar, SparseOperator, combination, embed_pair
 from ybverify.clifford import antisym_product, as_exp_components, component_family
 from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, forward_map,
                               local_ybe_factors)
-from ybverify.rmatrix import CoefficientTable, Normalization, PoleError
+from ybverify.rmatrix import CoefficientTable, Normalization, PoleError, _Dual
 
 
 def perm_sign(perm):
@@ -392,6 +392,22 @@ def coefficients_closed_form(d, u, norm):
     else:
         raise ValueError("closed forms exist for the product and beta normalizations")
     return CoefficientTable(d, u, norm, tuple(ExactScalar(v) for v in values))
+
+
+def product_form_slope_at_zero_dual(d):
+    """lim_{u->0} R_k(u)/u for the product-form table (None for odd k): the
+    eps-coefficients of the closed form evaluated on the dual number u = eps,
+    the reference for ``rmatrix.product_form_slope_at_zero``."""
+    eps = _Dual(0, 1)
+    half = d // 2
+    slopes = [None] * (d + 1)
+    for k in range(half + 1):
+        sign = -1 if k % 2 else 1
+        val = _poch(eps / 2, k) * _poch(eps / 2, half - k) * sign
+        if val.a != 0:
+            raise ArithmeticError(f"R_{2 * k} does not vanish at u = 0")
+        slopes[2 * k] = val.b
+    return slopes
 
 
 def recurrence_holds(table):

@@ -453,6 +453,9 @@ def test_dump_coeffs(capsys):
     _, out, _ = run_cli(["dump", "coeffs", "--d", "4", "--norm", "unit",
                          "--u", "1"], capsys)
     assert json.loads(out)["values"] == ["1", "1", "-1/3", "-1", "1"]
+    # tables exist for even d >= 2 only; any other d is a configuration error
+    for d in ("0", "3"):
+        assert console_main(["dump", "coeffs", "--d", d, "--norm", "product"]) == 2
 
 
 def test_dump_rmatrix_and_schema(capsys):

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybverify import clifford, rmatrix
+from ybverify import _core, clifford, rmatrix
 from ybverify import relations as rel
-from ybverify.kernel import ExactScalar, SparseOperator, kron, rll_first_row, yb_first_row
+from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, kron, rll_first_row,
+                             yb_first_row)
 from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               fundamental_R0, so_defining_rep, so_spinor_rep)
 
-from helpers import (brute_as_exponential, brute_graded_generators, rll_sides,
-                     streamed_yb, weyl_projectors, yb_sides)
+from helpers import (brute_as_exponential, brute_graded_generators, coefficients_closed_form,
+                     rll_sides, streamed_yb, weyl_projectors, yb_sides)
 
 U, V = Fraction(1, 2), Fraction(1, 3)
 LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
@@ -505,6 +506,22 @@ def test_perturbed_ybe_keeps_full_stream_detail(d):
         assert report.detail == f"YBE: first residual {PERTURBED_YBE[d][k]}", (d, k)
 
 
+def test_planted_polynomial_coefficient_fails_ybe(monkeypatch):
+    # one integer coefficient of the cached d = 6 R_2 polynomial shifted:
+    # R_2(u) moves by u/8, and the Yang-Baxter check locates the residual
+    assert rel.check_ybe(6, U, V).passed
+    polys = list(rmatrix.product_form_polynomials(6))
+    polys[2] = (polys[2][0], polys[2][1] + 1, *polys[2][2:])
+    cached = rmatrix.product_form_polynomials
+    monkeypatch.setattr(rmatrix, "product_form_polynomials",
+                        lambda d: tuple(polys) if d == 6 else cached(d))
+    closed = coefficients_closed_form(6, U, Normalization.PRODUCT_FORM)
+    assert rmatrix.coefficients(6, U, Normalization.PRODUCT_FORM)[2] == closed[2] + U / 8
+    report = rel.check_ybe(6, U, V)
+    _fails_at(report, "YBE")
+    assert report.detail == _ybe_detail(*_spinor_triple(6), 8)
+
+
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_flipped_component_ybe_keeps_full_stream_detail(flipped_s2, d):
     report = rel.check_ybe(d, U, V, budget=100000)
@@ -633,6 +650,60 @@ def test_rll_planted_entry_falls_back_to_ordered_stream(monkeypatch, name, d, op
     (r, c), value = (lhs - rhs).first_nonzero()
     assert r == row and row not in basis.row_symmetry(q).rows
     report = rel.check_rll_quantum(d, U, V, q, name)
+    assert report.detail == f"RLL: first residual {value} at entry ({r},{c})"
+
+
+@pytest.mark.parametrize("name,d", [("defining", 4), ("defining", 6),
+                                    ("spinor", 4), ("spinor", 6)])
+def test_marked_L_skips_its_certificate(monkeypatch, name, d):
+    # K is certified once, next to its cache entry; every L = u 1 + K then
+    # carries the (V, W) lifts and the RLL stream certifies neither L
+    basis, q = rel._basis(d), _quantum(d, name)
+    symmetry = basis.row_symmetry(q)
+    R = rel._spinor_R(d, U - V, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
+    Lu, Lv = rmatrix.quantum_L(basis, U, q), rmatrix.quantum_L(basis, V, q)
+    assert Lu.certified_lifts == Lv.certified_lifts == (basis.weyl_lifts(), q.lifts)
+    certified = []
+    certifies = RowSymmetry.certifies
+
+    def spy(self, slots, *ops):
+        certified.extend(ops)
+        return certifies(self, slots, *ops)
+
+    monkeypatch.setattr(RowSymmetry, "certifies", spy)
+    got = rll_first_row(R, Lu, Lv, basis.dim, q.m, symmetry)
+    assert certified == []
+    lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
+    assert got.first_nonzero() == (lhs - rhs).first_nonzero()
+
+
+@pytest.mark.parametrize("name,d", [("defining", 4), ("defining", 6), ("spinor", 4)])
+def test_planted_non_invariant_coupling_streams_every_row(monkeypatch, name, d):
+    # an extra entry in M_12 leaves K non-invariant: its L is unmarked, the
+    # stream certifies it, the certificate fails and every row streams, so
+    # the check FAILs at the materialized chain's first residual
+    basis, q = rel._basis(d), _quantum(d, name)
+    gens = dict(q._gens)
+    gens[(1, 2)] = gens[(1, 2)] + SparseOperator.from_entries(q.m, {(0, 0): 1})
+    planted = rmatrix.QuantumRep(d, q.m, gens, q.lifts)
+    R = rel._spinor_R(d, U - V, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
+    Lu, Lv = rmatrix.quantum_L(basis, U, planted), rmatrix.quantum_L(basis, V, planted)
+    assert Lu.certified_lifts is None and Lv.certified_lifts is None
+    symmetry = basis.row_symmetry(planted)
+    assert not symmetry.certifies((0, 2), Lu)
+    seen = []
+    chain_rows = _core.chain_rows
+
+    def spy(lhs, rhs, rows):
+        seen.append(rows)
+        return chain_rows(lhs, rhs, rows)
+
+    monkeypatch.setattr(_core, "chain_rows", spy)
+    lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
+    (r, c), value = (lhs - rhs).first_nonzero()
+    assert rll_first_row(R, Lu, Lv, basis.dim, q.m, symmetry).first_nonzero() == ((r, c), value)
+    assert seen == [range(basis.dim ** 2 * q.m)]
+    report = rel.check_rll_quantum(d, U, V, planted, name)
     assert report.detail == f"RLL: first residual {value} at entry ({r},{c})"
 
 

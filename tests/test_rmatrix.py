@@ -5,22 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybverify import _core
+from ybverify import _core, rmatrix
 from ybverify.clifford import as_exp_components, as_exponential, build_gamma
 from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron, yb_first_row
 from ybverify.rmatrix import (CoefficientTable, Normalization, Parity,
                               PoleError, QuantumRep, RepChoice, assemble_spinor_R,
                               base_values, coefficients, fundamental_L0,
-                              fundamental_R0, product_form_slope_at_zero,
-                              projectors, quantum_L, so_defining_rep,
-                              so_spinor_rep)
+                              fundamental_R0, product_form_polynomials,
+                              product_form_slope_at_zero, projectors, quantum_L,
+                              recurrence_table, so_defining_rep, so_spinor_rep)
 
 from helpers import (coefficients_closed_form, combination_quantum_L, combination_spinor_R,
-                     dressed_spinor_R, fundamental_L0_loop, reciprocity_holds,
-                     recurrence_holds, satisfies_so_relations, weyl_projectors)
+                     dressed_spinor_R, fundamental_L0_loop, product_form_slope_at_zero_dual,
+                     reciprocity_holds, recurrence_holds, satisfies_so_relations,
+                     weyl_projectors)
 
 U_SAMPLES = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2),
              Fraction(-1, 5), Fraction(-3, 7)]
+
+
+_wide = st.integers(10 ** 8, 10 ** 10 - 1)   # 9-10 digits
+_signed_wide = st.builds(Fraction, st.builds(lambda s, n: s * n, st.sampled_from([1, -1]), _wide),
+                         _wide)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +116,75 @@ def test_removable_singular_steps_use_function_values():
         4, Fraction(-2), Normalization.PRODUCT_FORM).values
 
 
+def test_tables_need_an_even_d():
+    for d in (-2, 0, 1, 3):
+        for norm in Normalization:
+            with pytest.raises(ValueError, match="d must be even"):
+                coefficients(d, Fraction(1, 2), norm)
+
+
+@pytest.mark.parametrize("d", range(2, 11, 2))
+def test_product_form_polynomial_degrees(d):
+    # 2^(d/2) R_k(u) has degree d/2 for even k and d/2 - 1 for odd k, with
+    # leading coefficient +-1: the products of d/2 or d/2 - 1 monic factors
+    for k, poly in enumerate(product_form_polynomials(d)):
+        assert len(poly) == d // 2 + 1 and all(isinstance(c, int) for c in poly)
+        top = poly[-1] if k % 2 == 0 else poly[-2]
+        assert abs(top) == 1 and (k % 2 == 0 or poly[-1] == 0), (k, poly)
+
+
+def _table_or_pole(d, u, norm):
+    """The table's values, or the message and step of its PoleError."""
+    try:
+        return coefficients(d, u, norm).values, None
+    except PoleError as exc:
+        return None, (str(exc), exc.k)
+
+
+@st.composite
+def table_points(draw):
+    """d = 2..10 and a spectral point: small, 9-10 digits, a half-integer,
+    or a singular step u = k - d + 2 of the recurrence."""
+    d = draw(st.sampled_from(range(2, 11, 2)))
+    u = draw(st.one_of(
+        st.fractions(-12, 12, max_denominator=12),
+        _signed_wide,
+        st.integers(-21, 21).map(lambda n: Fraction(n, 2)),
+        st.integers(0, d - 2).map(lambda k: Fraction(k - d + 2))))
+    return d, u
+
+
+@given(table_points())
+@settings(deadline=None, max_examples=300)
+def test_tables_match_closed_forms_and_the_recurrence(case):
+    d, u = case
+    product = coefficients(d, u, Normalization.PRODUCT_FORM).values
+    assert product == coefficients_closed_form(d, u, Normalization.PRODUCT_FORM).values
+    assert product == recurrence_table(d, u, Normalization.PRODUCT_FORM).values
+    # unit: each parity family over its first product-form entry
+    values, pole = _table_or_pole(d, u, Normalization.UNIT)
+    if product[0] and product[1]:
+        assert pole is None
+        assert values == tuple(product[k] / product[k % 2] for k in range(d + 1))
+    # beta: the closed form wherever that is defined
+    beta, beta_pole = _table_or_pole(d, u, Normalization.BETA_FORM)
+    try:
+        closed = coefficients_closed_form(d, u, Normalization.BETA_FORM).values
+    except PoleError:
+        closed = None
+    if closed is not None:
+        assert beta_pole is None and beta == closed
+    # a pole names its singular step, in the message the recurrence gives
+    for step in (pole, beta_pole):
+        if step is not None:
+            message, k = step
+            assert u + d - 2 - k == 0
+            assert message == f"recurrence pole at k={k}: u + d - 2 - k = 0 for u={u}, d={d}"
+    if d == 6:
+        assert coefficients(6, u, Normalization.D6_PAPER).values \
+            == tuple(ExactScalar(x) for x in d6_paper_table(u))
+
+
 def test_d6_norm_requires_d6():
     with pytest.raises(ValueError):
         base_values(4, Fraction(1), Normalization.D6_PAPER)
@@ -179,11 +254,6 @@ def test_assemble_matches_dressed_oracle(bases, d):
             for parity in Parity:
                 want = dressed_spinor_R(bases[d], table, rep, parity)
                 assert assemble_spinor_R(bases[d], table, rep, parity) == want, (u, rep, parity)
-
-
-_wide = st.integers(10 ** 8, 10 ** 10 - 1)   # 9-10 digits
-_signed_wide = st.builds(Fraction, st.builds(lambda s, n: s * n, st.sampled_from([1, -1]), _wide),
-                         _wide)
 
 
 @st.composite
@@ -364,6 +434,19 @@ def test_product_form_slopes():
     assert slopes[0] == Fraction(1, 2)
     assert slopes[2] == 0
     assert slopes[4] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("d", range(2, 11, 2))
+def test_product_form_slopes_match_dual_numbers(d):
+    assert product_form_slope_at_zero(d) == product_form_slope_at_zero_dual(d)
+
+
+def test_product_form_slope_needs_a_vanishing_constant(monkeypatch):
+    polys = list(product_form_polynomials(4))
+    polys[2] = (1,) + polys[2][1:]
+    monkeypatch.setattr(rmatrix, "product_form_polynomials", lambda d: tuple(polys))
+    with pytest.raises(ArithmeticError, match="R_2 does not vanish at u = 0"):
+        rmatrix.product_form_slope_at_zero(4)
 
 
 # --- fundamental operators ----------------------------------------------------
