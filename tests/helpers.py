@@ -19,7 +19,7 @@ from ybverify.kernel import ExactScalar, SparseOperator, combination, embed_pair
 from ybverify.clifford import antisym_product, as_exp_components, component_family
 from ybverify.localyb import (CurveCoords, RegionTag, TripleXYZ, forward_map,
                               local_ybe_factors)
-from ybverify.rmatrix import CoefficientTable, Normalization, PoleError, _Dual
+from ybverify.rmatrix import CoefficientTable, Normalization, PoleError
 
 
 def perm_sign(perm):
@@ -394,11 +394,120 @@ def coefficients_closed_form(d, u, norm):
     return CoefficientTable(d, u, norm, tuple(ExactScalar(v) for v in values))
 
 
+class Dual:
+    """a + b*eps with eps^2 = 0 over Fractions: a rational function's value
+    and derivative, enough to resolve a removable 0/0 by L'Hopital."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.a + other.a, self.b + other.b)
+        return Dual(self.a + other, self.b)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+        return Dual(self.a * other, self.b * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            if other.a == 0:
+                raise ZeroDivisionError("dual division by a pure-epsilon value")
+            return Dual(self.a / other.a,
+                        (self.b * other.a - self.a * other.b) / (other.a * other.a))
+        return Dual(self.a / other, self.b / other)
+
+
+def _dual(x):
+    return x if isinstance(x, Dual) else Dual(x)
+
+
+def recurrence_seeds(d, u, norm):
+    """(R_0, R_1) of the normalization at the dual number u; the
+    beta-function table is stored relative to its parity bases, so its
+    seeds are 1, as the unit table's are."""
+    half = d // 2
+    if norm is Normalization.UNIT or norm is Normalization.BETA_FORM:
+        return Dual(1), Dual(1)
+    if norm is Normalization.PRODUCT_FORM:
+        return _poch(u / 2, half), _dual(_poch((u + 1) / 2, half - 1) / 2)
+    if norm is Normalization.D6_PAPER:
+        if d != 6:
+            raise ValueError("the d6paper normalization is defined for d = 6 only")
+        return (u + 4) / 8, Dual(0)
+    raise ValueError(f"unknown normalization {norm}")
+
+
+def recurrence_table(d, u, norm):
+    """R_0(u)..R_d(u) by the two-step recurrence (u + k) R_k = (k - u - d + 2)
+    R_(k+2) from the seeds, on dual numbers: the reference for
+    ``rmatrix.coefficients``.
+
+    A step whose denominator vanishes is removable exactly when its
+    numerator vanishes too, and L'Hopital resolves it, since the
+    denominator zero is simple; otherwise it raises the PoleError that
+    names the step.  Only the step k = u + d - 2 can be singular, so
+    dropping the derivative after it never hurts later values.
+    """
+    u = Fraction(u)
+    ud = Dual(u, 1)
+    duals = [None] * (d + 1)
+    duals[0], duals[1] = recurrence_seeds(d, ud, norm)
+    values = [duals[0].a, duals[1].a] + [Fraction(0)] * (d - 1)
+    for k in range(d - 1):
+        den = Dual(Fraction(k - d + 2) - u, -1)  # k - (u + d - 2)
+        if den.a != 0:
+            if duals[k] is None:
+                values[k + 2] = (u + k) / den.a * values[k]
+            else:
+                duals[k + 2] = (ud + k) * duals[k] / den
+                values[k + 2] = duals[k + 2].a
+            continue
+        numerator = (ud + k) * duals[k]
+        if numerator.a != 0:
+            raise PoleError(
+                f"recurrence pole at k={k}: u + d - 2 - k = 0 for u={u}, d={d}", k=k)
+        values[k + 2] = numerator.b / den.b
+    return CoefficientTable(d, u, norm, tuple(ExactScalar(v) for v in values))
+
+
+def normalization_weights_dual(d, u, norm):
+    """(A(u), B(u)) = (R_0(u)/(u/2)_(d/2), 2 R_1(u)/((u+1)/2)_(d/2-1)) from the
+    seeds on dual numbers, a removable 0/0 resolved by L'Hopital: the
+    reference for ``rmatrix.normalization_weights``."""
+    u = Fraction(u)
+    half = d // 2
+    ud = Dual(u, 1)
+    b0, b1 = recurrence_seeds(d, ud, norm)
+
+    def ratio(num, den, label):
+        den = _dual(den)
+        if den.a != 0:
+            return (num / den).a
+        if num.a != 0:
+            raise PoleError(f"{label} weight singular at u = {u}")
+        if den.b == 0:
+            raise PoleError(f"{label} weight undetermined at u = {u}")
+        return num.b / den.b
+
+    return (ratio(b0, _poch(ud / 2, half), "A(u)"),
+            ratio(b1 * 2, _poch((ud + 1) / 2, half - 1), "B(u)"))
+
+
 def product_form_slope_at_zero_dual(d):
     """lim_{u->0} R_k(u)/u for the product-form table (None for odd k): the
     eps-coefficients of the closed form evaluated on the dual number u = eps,
     the reference for ``rmatrix.product_form_slope_at_zero``."""
-    eps = _Dual(0, 1)
+    eps = Dual(0, 1)
     half = d // 2
     slopes = [None] * (d + 1)
     for k in range(half + 1):

@@ -206,9 +206,35 @@ def test_pole_in_suite_job_is_a_fail(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out.strip())
     assert payload["status"] == "fail" and payload["exact"] is True
-    assert payload["detail"].startswith("error: ")
+    assert payload["detail"] == \
+        "error: recurrence pole at k=0: u + d - 2 - k = 0 for u=-2, d=4"
     # the job's own params, not every run option
     assert payload["params"] == {"d": "4", "norm": "unit", "u": "-2"}
+
+
+def test_weight_poles_in_suite_jobs(tmp_path, capsys):
+    # a pole of A(u) or B(u) is a FAIL line; d6paper at u = -4 resolves its
+    # 0/0 weight and passes
+    jobs = [{"check": "unitarity", "params": {"d": 4, "u": u, "norm": norm}}
+            for u, norm in (("0", "unit"), ("-1", "beta"))]
+    jobs.append({"check": "unitarity", "params": {"d": 6, "u": "-4", "norm": "d6paper"}})
+    code, out, err = _run_suite(tmp_path, capsys, jobs)
+    assert code == 1
+    assert err.splitlines() == [
+        "FAIL  unitarity                d=4 norm=beta u=-1 "
+        "[error: B(u) weight singular at u = -1]",
+        "FAIL  unitarity                d=4 norm=unit u=0 "
+        "[error: A(u) weight singular at u = 0]",
+        "ok   unitarity                d=6 norm=d6paper u=-4"]
+    assert [(p["status"], p["params"]["u"], p["detail"])
+            for p in map(json.loads, out.splitlines())] == [
+        ("fail", "-1", "error: B(u) weight singular at u = -1"),
+        ("fail", "0", "error: A(u) weight singular at u = 0"),
+        ("pass", "-4", "h+ = -15, h- = 0 (naive matrix convention)")]
+    code, out, err = run_cli(["check", "unitarity", "--d", "4", "--u", "0",
+                              "--norm", "unit"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "ybv: error: A(u) weight singular at u = 0\n"
 
 
 def test_non_finite_value_is_the_same_fail_in_check_and_suite(tmp_path, capsys, monkeypatch):

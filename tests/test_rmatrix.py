@@ -15,6 +15,7 @@ from ybverify.rmatrix import (CoefficientTable, Normalization, Parity,
                               product_form_slope_at_zero, projectors, quantum_L,
                               recurrence_table, so_defining_rep, so_spinor_rep)
 
+import helpers
 from helpers import (coefficients_closed_form, combination_quantum_L, combination_spinor_R,
                      dressed_spinor_R, fundamental_L0_loop, product_form_slope_at_zero_dual,
                      reciprocity_holds, recurrence_holds, satisfies_so_relations,
@@ -139,6 +140,46 @@ def _table_or_pole(d, u, norm):
         return coefficients(d, u, norm).values, None
     except PoleError as exc:
         return None, (str(exc), exc.k)
+
+
+def _value_or_pole(f, *args):
+    """f(*args), or the message and step of the PoleError it raises."""
+    try:
+        return f(*args), None
+    except PoleError as exc:
+        return None, (str(exc), exc.k)
+
+
+# every half-integer in [-22, 22] and every third in [-10, 10]: each singular
+# step u = k - d + 2 of the recurrence and each zero of (u/2)_(d/2) and
+# ((u+1)/2)_(d/2-1) at d <= 10, on both sides of u = 0
+POLE_GRID = sorted({Fraction(n, 2) for n in range(-44, 45)}
+                   | {Fraction(n, 3) for n in range(-30, 31)})
+# the grid's points where the table, and where the weights, raise PoleError
+GRID_POLES = {(d, norm): (poles, weight_poles)
+              for d, poles, weight_poles in [(2, 0, 1), (4, 1, 3), (6, 2, 5), (8, 3, 7),
+                                             (10, 4, 9)]
+              for norm in (Normalization.UNIT, Normalization.BETA_FORM)}
+GRID_POLES.update({(d, Normalization.PRODUCT_FORM): (0, 0) for d in range(2, 11, 2)})
+GRID_POLES[6, Normalization.D6_PAPER] = (0, 2)
+
+
+@pytest.mark.parametrize("d,norm", [pytest.param(d, norm, id=f"{d}-{norm.value}")
+                                    for d, norm in GRID_POLES])
+def test_tables_and_weights_match_the_recurrence_on_the_pole_grid(d, norm):
+    # values, or PoleError message and step, as the dual-number recurrence
+    # gives them, at every removable 0/0 point and every pole of the grid
+    poles = weight_poles = 0
+    for u in POLE_GRID:
+        table, pole = _value_or_pole(coefficients, d, u, norm)
+        want, want_pole = _value_or_pole(helpers.recurrence_table, d, u, norm)
+        assert pole == want_pole, u
+        assert pole is not None or table.values == want.values, u
+        weights = _value_or_pole(rmatrix.normalization_weights, d, u, norm)
+        assert weights == _value_or_pole(helpers.normalization_weights_dual, d, u, norm), u
+        poles += pole is not None
+        weight_poles += weights[1] is not None
+    assert (poles, weight_poles) == GRID_POLES[d, norm]
 
 
 @st.composite
