@@ -1,9 +1,9 @@
 """Coefficient functions R_k(u), spinorial R-matrix assembly, projectors,
 the fundamental R-matrix and L-operators, and so(d) quantum representations.
 
-All gamma-function ratios are realized as finite rational (Pochhammer)
-products, never as transcendental evaluations, so every table entry is an
-exact Gaussian rational.  The beta-function normalization is stored relative
+All gamma-function ratios are realized as finite products of linear
+factors (u + a), never as transcendental evaluations, so every table entry
+is an exact Gaussian rational.  The beta-function normalization is stored relative
 to its two parity-family bases B(u/2,(u+d)/2) and B((u+1)/2,(u+d-1)/2); the
 quadrature module reattaches those bases as floats where absolute values are
 needed.
@@ -12,6 +12,7 @@ needed.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,7 +64,10 @@ class CoefficientTable:
         return len(self.values)
 
     def perturbed(self, k: int, delta=1) -> "CoefficientTable":
-        """Copy with R_k shifted by delta (negative-control fixture)."""
+        """Copy with R_k shifted by delta (negative-control fixture).  k must
+        name an entry, 0 <= k <= d; any other k raises ValueError."""
+        if not 0 <= k <= self.d:
+            raise ValueError(f"perturb_k={k} is outside 0..{self.d}")
         values = list(self.values)
         values[k] = values[k] + ExactScalar(delta)
         return CoefficientTable(self.d, self.u, self.norm, tuple(values))
@@ -72,193 +76,131 @@ class CoefficientTable:
         return [str(v) for v in self.values]
 
 
-def _poch(x, n):
-    """Rising product x (x+1) ... (x+n-1); generic over the scalar ring."""
-    out = 1
-    for j in range(n):
-        out = out * (x + j)
-    return out
-
-
-class _Dual:
-    """a + b*eps with eps^2 = 0 over Fractions; enough for one-sided limits
-    of the polynomial product-form coefficients."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.a + other.a, self.b + other.b)
-        return _Dual(self.a + other, self.b)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, _Dual):
-            return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
-        return _Dual(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _Dual):
-            if other.a == 0:
-                raise ZeroDivisionError("dual division by a pure-epsilon value")
-            return _Dual(self.a / other.a,
-                         (self.b * other.a - self.a * other.b) / (other.a * other.a))
-        return _Dual(self.a / other, self.b / other)
-
-
-def base_values(d: int, u, norm: Normalization):
-    """(R_0, R_1) seeds for the recurrence under the chosen normalization;
-    generic over the scalar ring (Fraction or dual number)."""
-    half = d // 2
-    if norm is Normalization.UNIT or norm is Normalization.BETA_FORM:
-        # the beta-function table is stored relative to its parity bases,
-        # which makes its seeds rational and equal to 1
-        return Fraction(1), Fraction(1)
-    if norm is Normalization.PRODUCT_FORM:
-        return _poch(u / 2, half), _poch((u + 1) / 2, half - 1) / 2
-    if norm is Normalization.D6_PAPER:
-        if d != 6:
-            raise ValueError("the d6paper normalization is defined for d = 6 only")
-        return (u + 4) / 8, Fraction(0)
-    raise ValueError(f"unknown normalization {norm}")
-
-
 def coefficients(d: int, u, norm: Normalization) -> CoefficientTable:
     """Coefficient table R_0(u)..R_d(u) at the rational point u, for even
-    d >= 2.
+    d >= 2: each entry of ``factor_table(d, norm)`` evaluated at u.
 
-    The product-form table evaluates the cached integer polynomials of
-    ``product_form_polynomials`` at u = p/q, each numerator homogeneously
-    as sum_i c_i p^i q^(d/2 - i) over the one denominator 2^(d/2) q^(d/2).
-    The other normalizations run the two-step recurrence from their
-    (R_0, R_1) seeds (``recurrence_table``).
+    An entry whose denominator vanishes at u is a pole of the
+    normalization.  Its offset b = d - 2 - k names the step k = u + d - 2 of
+    the recurrence that divides by zero, and the PoleError names that step.
     """
-    if d < 2 or d % 2:
-        raise ValueError(f"d must be even with d >= 2, got {d}")
     u = Fraction(u)
-    if norm is not Normalization.PRODUCT_FORM:
-        return recurrence_table(d, u, norm)
-    half = d // 2
-    p, q = u.numerator, u.denominator
-    powers = [p ** i * q ** (half - i) for i in range(half + 1)]
-    den = q ** half << half
-    return CoefficientTable(d, u, norm, tuple(
-        ExactScalar(Fraction(sum(c * x for c, x in zip(poly, powers) if c), den))
-        for poly in product_form_polynomials(d)))
+    values = []
+    for entry in factor_table(d, norm):
+        value = _value(entry, u)
+        if value is None:
+            k = u.numerator + d - 2  # a pole is at an integer u
+            raise PoleError(
+                f"recurrence pole at k={k}: u + d - 2 - k = 0 for u={u}, d={d}", k=k)
+        values.append(ExactScalar(value))
+    return CoefficientTable(d, u, norm, tuple(values))
 
 
 @lru_cache(maxsize=None)
-def product_form_polynomials(d: int) -> tuple:
-    """2^(d/2) R_k(u), k = 0..d, of the product-form table as integer
-    coefficient tuples, lowest degree first, each padded to degree d/2.
+def factor_table(d: int, norm: Normalization) -> tuple:
+    """R_0(u)..R_d(u) of the normalization as entries (c, a, b) meaning
+    c prod_i (u + a_i) / prod_j (u + b_j), in lowest terms.  Built once per
+    (d, norm).
 
-    With (x/2)_n = 2^-n prod_{j<n} (x + 2j) and m = d/2, the closed forms
-    of R_2k and R_2k+1 give
-        2^m R_2k   = (-1)^k prod_{j<k} (u + 2j) prod_{j<m-k} (u + 2j),
-        2^m R_2k+1 = (-1)^k prod_{j<k} (u + 1 + 2j) prod_{j<m-1-k} (u + 1 + 2j),
-    of degree m and m - 1.  Built once per d.
+    The Yang-Baxter recurrence (u + k) R_k = (k - u - d + 2) R_(k+2) leaves
+    one free weight per parity family.  With both weights 1 it multiplies
+    out to the unit shape
+        R_2j = (-1)^j prod_{i<j} (u + 2i) / prod_{i<j} (u + d - 2 - 2i),
+    and R_2j+1 is the same with every offset shifted by 1.  A normalization
+    is the pair of family weights it multiplies that shape by
+    (``_family_weights``).  Cancelling the offsets common to numerator and
+    denominator resolves every removable 0/0 of the recurrence, so an
+    offset left in a denominator is a pole.
     """
-    half = d // 2
-    polys = []
+    if d < 2 or d % 2:
+        raise ValueError(f"d must be even with d >= 2, got {d}")
+    weights = _family_weights(d, norm)
+    table = []
     for k in range(d + 1):
         j, odd = divmod(k, 2)
-        poly = [-1 if j % 2 else 1]
-        for n in (j, half - odd - j):
-            for i in range(n):
-                # times (u + odd + 2i)
-                poly = [(odd + 2 * i) * a + b for a, b in zip(poly + [0], [0] + poly)]
-        polys.append(tuple(poly + [0] * (half + 1 - len(poly))))
-    return tuple(polys)
+        c, offsets = weights[odd]
+        table.append(_reduced(-c if j % 2 else c, [*offsets, *range(odd, k, 2)],
+                              range(d - 2 - odd, d - 2 - k, -2)))
+    return tuple(table)
 
 
-def recurrence_table(d: int, u: Fraction, norm: Normalization) -> CoefficientTable:
-    """Coefficient table via the two-step recurrence from (R_0, R_1).
+def _family_weights(d: int, norm: Normalization):
+    """(c, offsets) of the even and odd family weights c prod (u + a)."""
+    if norm is Normalization.UNIT or norm is Normalization.BETA_FORM:
+        # the beta-function table is stored relative to its parity-family
+        # bases, which makes its weights 1, as the unit table's are
+        return (1, ()), (1, ())
+    if norm is Normalization.PRODUCT_FORM:
+        # (u/2)_(d/2) and ((u+1)/2)_(d/2-1) / 2
+        return (Fraction(1, 2 ** (d // 2)), range(0, d, 2)), \
+            (Fraction(1, 2 ** (d // 2)), range(1, d - 2, 2))
+    if norm is Normalization.D6_PAPER:
+        if d != 6:
+            raise ValueError("the d6paper normalization is defined for d = 6 only")
+        return (Fraction(1, 8), (4,)), (0, ())
+    raise ValueError(f"unknown normalization {norm}")
 
-    Each table entry is a rational function of u, so the recurrence runs on
-    dual numbers (value + derivative): a step whose denominator vanishes is
-    removable exactly when its numerator value vanishes too, and L'Hopital
-    resolves it since the denominator zero is simple.  A vanishing
-    denominator against a nonzero numerator is a genuine pole of the
-    normalization and raises PoleError naming the step.  At most one
-    singular step can occur per parity family, so losing the derivative
-    after one never hurts later values.
-    """
-    u = Fraction(u)
-    ud = _Dual(u, 1)
-    b0, b1 = base_values(d, ud, norm)
-    duals = [None] * (d + 1)
-    duals[0] = b0 if isinstance(b0, _Dual) else _Dual(b0)
-    duals[1] = b1 if isinstance(b1, _Dual) else _Dual(b1)
-    values = [Fraction(0)] * (d + 1)
-    values[0] = duals[0].a
-    values[1] = duals[1].a
-    for k in range(d - 1):
-        den = _Dual(Fraction(k - d + 2) - u, -1)  # k - (u + d - 2)
-        rk = duals[k]
-        if den.a != 0:
-            if rk is None:
-                values[k + 2] = (u + k) / den.a * values[k]
-            else:
-                duals[k + 2] = (ud + k) * rk / den
-                values[k + 2] = duals[k + 2].a
-            continue
-        if rk is None:
-            raise AssertionError("second singular step in one parity family")
-        numerator = (ud + k) * rk
-        if numerator.a != 0:
-            raise PoleError(
-                f"recurrence pole at k={k}: u + d - 2 - k = 0 for u={u}, d={d}",
-                k=k,
-            )
-        values[k + 2] = numerator.b / den.b
-    return CoefficientTable(d, u, norm, tuple(ExactScalar(v) for v in values))
+
+def _reduced(c, num, den) -> tuple:
+    """The entry c prod (u + a) / prod (u + b), a in num and b in den, with
+    the offsets common to both cancelled.  A zero entry keeps no factors:
+    the recurrence never turns a family that vanishes into a pole."""
+    if not c:
+        return Fraction(0), (), ()
+    num, den = Counter(num), Counter(den)
+    common = num & den
+    return (Fraction(c), tuple(sorted((num - common).elements())),
+            tuple(sorted((den - common).elements())))
+
+
+def _value(entry, u: Fraction):
+    """The entry's value at u = p/q, or None where its denominator vanishes:
+    c prod (p + a q) q^#b / (prod (p + b q) q^#a)."""
+    c, num, den = entry
+    p, q = u.numerator, u.denominator
+    top = c.numerator * q ** len(den)
+    for a in num:
+        top *= p + a * q
+    bottom = c.denominator * q ** len(num)
+    for b in den:
+        bottom *= p + b * q
+    return Fraction(top, bottom) if bottom else None
 
 
 def normalization_weights(d: int, u, norm: Normalization):
     """The even/odd family weights (A(u), B(u)) of the normalization against
-    the product-form shape: A = R_0(u)/poch(u/2, d/2) and
-    B = 2 R_1(u)/poch((u+1)/2, d/2-1), as rational-function values (removable
-    0/0 points resolved by L'Hopital on duals)."""
+    the product-form shape: A = R_0(u)/(u/2)_(d/2) and
+    B = 2 R_1(u)/((u+1)/2)_(d/2-1), the quotients of the first two entries
+    of ``factor_table`` of the normalization and of the product form, in
+    lowest terms.  A denominator that vanishes at u raises PoleError."""
     u = Fraction(u)
-    half = d // 2
-    ud = _Dual(u, 1)
-    b0, b1 = base_values(d, ud, norm)
-    b0 = b0 if isinstance(b0, _Dual) else _Dual(b0)
-    b1 = b1 if isinstance(b1, _Dual) else _Dual(b1)
-
-    def ratio(num, den, label):
-        num = num if isinstance(num, _Dual) else _Dual(num)
-        den = den if isinstance(den, _Dual) else _Dual(den)
-        if den.a != 0:
-            return (num / den).a
-        if num.a != 0:
+    own = factor_table(d, norm)
+    product = factor_table(d, Normalization.PRODUCT_FORM)
+    weights = []
+    for k, label in ((0, "A(u)"), (1, "B(u)")):
+        (c, num, den), (pc, pnum, pden) = own[k], product[k]
+        value = _value(_reduced(c / pc, num + pden, den + pnum), u)
+        if value is None:
             raise PoleError(f"{label} weight singular at u = {u}")
-        if den.b == 0:
-            raise PoleError(f"{label} weight undetermined at u = {u}")
-        return num.b / den.b
-
-    weight_a = ratio(b0, _poch(ud / 2, half), "A(u)")
-    weight_b = ratio(b1 * 2, _poch((ud + 1) / 2, half - 1), "B(u)")
-    return weight_a, weight_b
+        weights.append(value)
+    return tuple(weights)
 
 
 def product_form_slope_at_zero(d: int):
     """lim_{u->0} R_k(u)/u for the product-form table, as exact Fractions
-    for even k (None for odd k): the u^1 coefficients of the even
-    ``product_form_polynomials`` over 2^(d/2).  Every even coefficient
-    vanishes at u = 0; a nonzero constant term raises ArithmeticError."""
+    for even k (None for odd k), from ``factor_table``: the other factors at
+    u = 0 where the factor u appears once, 0 where it appears twice.  An
+    even entry without the factor u does not vanish at u = 0 and raises
+    ArithmeticError."""
+    table = factor_table(d, Normalization.PRODUCT_FORM)
     slopes = [None] * (d + 1)
-    for k, poly in enumerate(product_form_polynomials(d)[::2]):
-        if poly[0]:
-            raise ArithmeticError(f"R_{2 * k} does not vanish at u = 0")
-        slopes[2 * k] = Fraction(poly[1], 2 ** (d // 2))
+    for k in range(0, d + 1, 2):
+        c, num, den = table[k]
+        if 0 not in num:
+            raise ArithmeticError(f"R_{k} does not vanish at u = 0")
+        rest = list(num)
+        rest.remove(0)
+        slopes[k] = _value((c, rest, den), Fraction(0))
     return slopes
 
 

@@ -237,6 +237,19 @@ def test_weight_poles_in_suite_jobs(tmp_path, capsys):
     assert err == "ybv: error: A(u) weight singular at u = 0\n"
 
 
+@pytest.mark.parametrize("k", [5, -1])
+def test_perturb_k_outside_the_table_is_config_error(tmp_path, capsys, k):
+    # 5 used to die with an IndexError (exit 3), -1 to perturb R_4
+    code, out, err = run_cli(["check", "ybe", "--d", "4", "--perturb-k", str(k)], capsys)
+    assert (code, out, err) == (2, "", f"ybv: error: perturb_k={k} is outside 0..4\n")
+    job = {"check": "ybe", "params": {"d": 4, "perturb_k": k}}
+    assert _run_suite(tmp_path, capsys, [job]) == (code, out, err)
+    # the last entry is still a located FAIL
+    code, out, _ = run_cli(["check", "ybe", "--d", "4", "--perturb-k", "4"], capsys)
+    assert code == 1
+    assert json.loads(out)["detail"] == "YBE: first residual -5/36 at entry (1,1)"
+
+
 def test_non_finite_value_is_the_same_fail_in_check_and_suite(tmp_path, capsys, monkeypatch):
     # an ArithmeticError inside a check is a verdict under `check` too, not a
     # program bug; the error line of a float check says exact: false

@@ -507,16 +507,19 @@ def test_perturbed_ybe_keeps_full_stream_detail(d):
 
 
 def test_planted_polynomial_coefficient_fails_ybe(monkeypatch):
-    # one integer coefficient of the cached d = 6 R_2 polynomial shifted:
-    # R_2(u) moves by u/8, and the Yang-Baxter check locates the residual
+    # one offset of the cached d = 6 R_2 = -u^2 (u + 2)/8 shifted to
+    # -u^2 (u + 3)/8: R_2(u) moves by -u^2/8, and the Yang-Baxter check
+    # locates the residual
     assert rel.check_ybe(6, U, V).passed
-    polys = list(rmatrix.product_form_polynomials(6))
-    polys[2] = (polys[2][0], polys[2][1] + 1, *polys[2][2:])
-    cached = rmatrix.product_form_polynomials
-    monkeypatch.setattr(rmatrix, "product_form_polynomials",
-                        lambda d: tuple(polys) if d == 6 else cached(d))
+    cached = rmatrix.factor_table
+    table = list(cached(6, Normalization.PRODUCT_FORM))
+    c, num, den = table[2]
+    assert num == (0, 0, 2)
+    table[2] = c, (0, 0, 3), den
+    monkeypatch.setattr(rmatrix, "factor_table", lambda d, norm: tuple(table)
+                        if (d, norm) == (6, Normalization.PRODUCT_FORM) else cached(d, norm))
     closed = coefficients_closed_form(6, U, Normalization.PRODUCT_FORM)
-    assert rmatrix.coefficients(6, U, Normalization.PRODUCT_FORM)[2] == closed[2] + U / 8
+    assert rmatrix.coefficients(6, U, Normalization.PRODUCT_FORM)[2] == closed[2] - U * U / 8
     report = rel.check_ybe(6, U, V)
     _fails_at(report, "YBE")
     assert report.detail == _ybe_detail(*_spinor_triple(6), 8)

@@ -10,10 +10,10 @@ from ybverify.clifford import as_exp_components, as_exponential, build_gamma
 from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron, yb_first_row
 from ybverify.rmatrix import (CoefficientTable, Normalization, Parity,
                               PoleError, QuantumRep, RepChoice, assemble_spinor_R,
-                              base_values, coefficients, fundamental_L0,
-                              fundamental_R0, product_form_polynomials,
+                              coefficients, factor_table, fundamental_L0,
+                              fundamental_R0, normalization_weights,
                               product_form_slope_at_zero, projectors, quantum_L,
-                              recurrence_table, so_defining_rep, so_spinor_rep)
+                              so_defining_rep, so_spinor_rep)
 
 import helpers
 from helpers import (coefficients_closed_form, combination_quantum_L, combination_spinor_R,
@@ -87,8 +87,10 @@ def test_closed_form_matches_recurrence(d, norm):
 
 
 def test_beta_form_seeds_are_unit():
-    # stored relative to the parity-family beta bases
-    assert base_values(4, Fraction(1, 2), Normalization.BETA_FORM) == (1, 1)
+    # stored relative to the parity-family beta bases, the beta table is
+    # the unit table
+    for d in range(2, 11, 2):
+        assert factor_table(d, Normalization.BETA_FORM) == factor_table(d, Normalization.UNIT)
 
 
 def test_pole_detection():
@@ -126,12 +128,11 @@ def test_tables_need_an_even_d():
 
 @pytest.mark.parametrize("d", range(2, 11, 2))
 def test_product_form_polynomial_degrees(d):
-    # 2^(d/2) R_k(u) has degree d/2 for even k and d/2 - 1 for odd k, with
-    # leading coefficient +-1: the products of d/2 or d/2 - 1 monic factors
-    for k, poly in enumerate(product_form_polynomials(d)):
-        assert len(poly) == d // 2 + 1 and all(isinstance(c, int) for c in poly)
-        top = poly[-1] if k % 2 == 0 else poly[-2]
-        assert abs(top) == 1 and (k % 2 == 0 or poly[-1] == 0), (k, poly)
+    # R_k(u) is +-2^-(d/2) times d/2 linear factors for even k and d/2 - 1
+    # for odd k, with no denominator: a polynomial of degree d/2 or d/2 - 1
+    for k, (c, num, den) in enumerate(factor_table(d, Normalization.PRODUCT_FORM)):
+        assert abs(c) == Fraction(1, 2 ** (d // 2)) and den == (), (k, c, den)
+        assert len(num) == d // 2 - k % 2 and all(isinstance(a, int) for a in num), (k, num)
 
 
 def _table_or_pole(d, u, norm):
@@ -201,7 +202,7 @@ def test_tables_match_closed_forms_and_the_recurrence(case):
     d, u = case
     product = coefficients(d, u, Normalization.PRODUCT_FORM).values
     assert product == coefficients_closed_form(d, u, Normalization.PRODUCT_FORM).values
-    assert product == recurrence_table(d, u, Normalization.PRODUCT_FORM).values
+    assert product == helpers.recurrence_table(d, u, Normalization.PRODUCT_FORM).values
     # unit: each parity family over its first product-form entry
     values, pole = _table_or_pole(d, u, Normalization.UNIT)
     if product[0] and product[1]:
@@ -227,8 +228,9 @@ def test_tables_match_closed_forms_and_the_recurrence(case):
 
 
 def test_d6_norm_requires_d6():
-    with pytest.raises(ValueError):
-        base_values(4, Fraction(1), Normalization.D6_PAPER)
+    for table in (coefficients, normalization_weights):
+        with pytest.raises(ValueError, match="defined for d = 6 only"):
+            table(4, Fraction(1), Normalization.D6_PAPER)
 
 
 def test_table_perturbation_and_strings():
@@ -237,6 +239,10 @@ def test_table_perturbation_and_strings():
     bumped = table.perturbed(2)
     assert bumped[2] == ExactScalar(Fraction(2, 3))
     assert not recurrence_holds(bumped)
+    assert table.perturbed(4)[4] == ExactScalar(2)
+    for k in (5, -1):
+        with pytest.raises(ValueError, match=f"perturb_k={k} is outside 0..4"):
+            table.perturbed(k)
 
 
 # --- spinorial R-matrix assembly ---------------------------------------------
@@ -483,9 +489,11 @@ def test_product_form_slopes_match_dual_numbers(d):
 
 
 def test_product_form_slope_needs_a_vanishing_constant(monkeypatch):
-    polys = list(product_form_polynomials(4))
-    polys[2] = (1,) + polys[2][1:]
-    monkeypatch.setattr(rmatrix, "product_form_polynomials", lambda d: tuple(polys))
+    # R_2(u) = -u^2/4 planted as -(u + 1)^2/4, which is -1/4 at u = 0
+    table = list(factor_table(4, Normalization.PRODUCT_FORM))
+    c, num, den = table[2]
+    table[2] = c, tuple(a + 1 for a in num), den
+    monkeypatch.setattr(rmatrix, "factor_table", lambda d, norm: tuple(table))
     with pytest.raises(ArithmeticError, match="R_2 does not vanish at u = 0"):
         rmatrix.product_form_slope_at_zero(4)
 
