@@ -135,14 +135,6 @@ def test_product_form_polynomial_degrees(d):
         assert len(num) == d // 2 - k % 2 and all(isinstance(a, int) for a in num), (k, num)
 
 
-def _table_or_pole(d, u, norm):
-    """The table's values, or the message and step of its PoleError."""
-    try:
-        return coefficients(d, u, norm).values, None
-    except PoleError as exc:
-        return None, (str(exc), exc.k)
-
-
 def _value_or_pole(f, *args):
     """f(*args), or the message and step of the PoleError it raises."""
     try:
@@ -204,18 +196,18 @@ def test_tables_match_closed_forms_and_the_recurrence(case):
     assert product == coefficients_closed_form(d, u, Normalization.PRODUCT_FORM).values
     assert product == helpers.recurrence_table(d, u, Normalization.PRODUCT_FORM).values
     # unit: each parity family over its first product-form entry
-    values, pole = _table_or_pole(d, u, Normalization.UNIT)
+    unit, pole = _value_or_pole(coefficients, d, u, Normalization.UNIT)
     if product[0] and product[1]:
         assert pole is None
-        assert values == tuple(product[k] / product[k % 2] for k in range(d + 1))
+        assert unit.values == tuple(product[k] / product[k % 2] for k in range(d + 1))
     # beta: the closed form wherever that is defined
-    beta, beta_pole = _table_or_pole(d, u, Normalization.BETA_FORM)
+    beta, beta_pole = _value_or_pole(coefficients, d, u, Normalization.BETA_FORM)
     try:
         closed = coefficients_closed_form(d, u, Normalization.BETA_FORM).values
     except PoleError:
         closed = None
     if closed is not None:
-        assert beta_pole is None and beta == closed
+        assert beta_pole is None and beta.values == closed
     # a pole names its singular step, in the message the recurrence gives
     for step in (pole, beta_pole):
         if step is not None:
