@@ -9,7 +9,7 @@ negative control):
 - ``orbit-reduced``: ``kernel.yb_first_row`` with the basis row symmetry:
   the certificate on the three operands, then one row per orbit of the
   monomial Weyl lifts, stopping at the first nonzero row;
-- ``streamed``: ``_core.yb_rows`` over every row of V (x) V (x) V, stored;
+- ``streamed``: ``_core.slot_rows`` over every row of V (x) V (x) V, stored;
 - ``kron chain``: six stored Kronecker factors, four sparse products
   (``_core.mul_grid`` behind ``@``) and one subtraction.
 
@@ -63,8 +63,10 @@ def spinor_R(basis, x, perturb_k=None):
 
 
 def streamed(a, b, c, n):
-    rows = _core.yb_rows((a._rows, b._rows, c._rows), (c._rows, b._rows, a._rows), n,
-                         range(n ** 3))
+    left, right = (0, 1), (1, 2)
+    rows = _core.slot_rows(((a._rows, left), (b._rows, right), (c._rows, left)),
+                           ((c._rows, right), (b._rows, left), (a._rows, right)), (n, n, n),
+                           range(n ** 3))
     return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
 
 

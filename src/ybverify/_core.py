@@ -2,7 +2,7 @@
 
 A grid is ``{row: {col: (re, im)}}`` with arbitrary-precision integer parts
 and no stored zeros.  All exact matrix arithmetic reduces to these
-functions, which ``ybverify.kernel`` wraps.  ``yb_rows`` also takes grids
+functions, which ``ybverify.kernel`` wraps.  ``slot_rows`` also takes grids
 whose parts are floats, which the float local Yang-Baxter check multiplies.
 """
 
@@ -43,28 +43,6 @@ def _row_times(vec, brows, out):
 def _nonzero(acc):
     """An accumulator row as a grid row: (re, im) tuples, zeros dropped."""
     return {col: (v[0], v[1]) for col, v in acc.items() if v[0] or v[1]}
-
-
-def chain_rows(a, b, rows):
-    """Yield (r, row) for each index r in ``rows`` whose row of
-    A1 A2 A3 - B1 B2 B3 is nonzero, for triples of grids a = (A1, A2, A3)
-    and b = (B1, B2, B3) whose products are over one denominator.  Each row
-    starts from row r of A1 (or B1) and meets the stored grids one product
-    at a time, so no product of two grids is formed."""
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    for r in rows:
-        acc = {}
-        arow = a1.get(r)
-        if arow:
-            _row_times(_row_times(arow, a2, {}), a3, acc)
-        brow = b1.get(r)
-        if brow:
-            brow = {c: (-v[0], -v[1]) for c, v in brow.items()}
-            _row_times(_row_times(brow, b2, {}), b3, acc)
-        row = _nonzero(acc)
-        if row:
-            yield r, row
 
 
 def add_grids(arows, brows, sa, sb):
@@ -148,9 +126,9 @@ def kron_grid(arows, brows, bdim):
 
 
 def _times_left(vec, xrows, n, out):
-    """Add the row vector vec (X (x) 1) into out: X acts on the first two
-    factors of V (x) V (x) V, so entry p*n + k of vec meets row p of X and
-    lands at q*n + k.  Vectors are {col: (re, im)} or {col: [re, im]}."""
+    """Add the row vector vec (X (x) 1) into out, 1 the identity on the
+    last n indices: entry p*n + k of vec meets row p of X and lands at
+    q*n + k.  Vectors are {col: (re, im)} or {col: [re, im]}."""
     for x, (vr, vi) in vec.items():
         p = x // n
         xrow = xrows.get(p)
@@ -171,8 +149,8 @@ def _times_left(vec, xrows, n, out):
 
 
 def _times_right(vec, xrows, n2, out):
-    """Add the row vector vec (1 (x) X) into out: X acts on the last two
-    factors, so entry i*n2 + q of vec meets row q of X and lands at
+    """Add the row vector vec (1 (x) X) into out, X on the last n2
+    indices: entry i*n2 + q of vec meets row q of X and lands at
     i*n2 + q'."""
     for x, (vr, vi) in vec.items():
         q = x % n2
@@ -193,33 +171,36 @@ def _times_right(vec, xrows, n2, out):
     return out
 
 
-def yb_rows(lhs, rhs, n, rows):
+def slot_rows(lhs, rhs, dims, rows):
     """Yield (r, row) for each index r in ``rows`` whose row of
-    (A1 (x) 1)(1 (x) A2)(A3 (x) 1) - (1 (x) B1)(B2 (x) 1)(1 (x) B3) on
-    V (x) V (x) V is nonzero, for grids lhs = (A1, A2, A3) and
-    rhs = (B1, B2, B3) on V (x) V, dim V = n; of the lhs alone when ``rhs``
-    is None.  Row-wise (Gustavson): row r = (i, j, k) of the lhs starts
-    from row i*n + j of A1 shifted by k, row r of the rhs from row j*n + k
-    of B1 shifted by i*n*n, and each factor is applied to the sparse row
-    vector by index arithmetic, so no n^3 x n^3 factor or product is
-    stored.  Integer rows are over the product of the lhs denominators,
-    which the rhs must share."""
-    a1, a2, a3 = lhs
-    b1, b2, b3 = rhs or ({}, {}, {})
-    n2 = n * n
+    X1 X2 X3 - Y1 Y2 Y3 is nonzero, on three slots of dimensions
+    dims = (d0, d1, d2), for lhs and rhs triples of (grid, slots) factors;
+    of the lhs alone when ``rhs`` is None.  A grid on slots (0, 1) acts as
+    X (x) 1, on (1, 2) as 1 (x) X, and on (0, 1, 2) on the whole space.
+    Row-wise (Gustavson): row r of a side starts from the row of its first
+    factor that r selects, shifted by index arithmetic (negated on the rhs),
+    and meets the other factors one at a time, so no embedded factor or
+    product is stored.  Integer rows are over the product of the lhs
+    denominators, which the rhs must share; float grids stream as well."""
+    d0, d1, d2 = dims
+    n = d0 * d1 * d2
+    # slots -> ((s, size), (times, stride)): entry x of a row vector meets
+    # row (x // s) % size of the grid; times applies the factor to a vector
+    tags = {(0, 1): ((d2, d0 * d1), (_times_left, d2)),
+            (1, 2): ((1, d1 * d2), (_times_right, d1 * d2)),
+            (0, 1, 2): ((1, n), (_times_right, n))}
+    sides = ((lhs, False),) if rhs is None else ((lhs, False), (rhs, True))
+    chains = [(x1, tags[s1][0], neg, tags[s2][1], x2, tags[s3][1], x3)
+              for ((x1, s1), (x2, s2), (x3, s3)), neg in sides]
     for r in rows:
-        ij, k = divmod(r, n)
         acc = {}
-        arow = a1.get(ij)
-        if arow:
-            start = {p * n + k: v for p, v in arow.items()}
-            _times_left(_times_right(start, a2, n2, {}), a3, n, acc)
-        jk = r % n2
-        brow = b1.get(jk)
-        if brow:
-            base = r - jk
-            start = {base + q: (-v[0], -v[1]) for q, v in brow.items()}
-            _times_right(_times_left(start, b2, n, {}), b3, n2, acc)
+        for x1, (s, size), neg, (times2, n2), x2, (times3, n3), x3 in chains:
+            p = r // s % size
+            xrow = x1.get(p)
+            if xrow:
+                base = r - p * s
+                start = {base + q * s: (-v[0], -v[1]) if neg else v for q, v in xrow.items()}
+                times3(times2(start, x2, n2, {}), x3, n3, acc)
         row = _nonzero(acc)
         if row:
             yield r, row

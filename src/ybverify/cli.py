@@ -51,6 +51,9 @@ def _run_named_check(args) -> list[CheckReport]:
         # with 0 points a float check reports no line, which reads as a PASS
         raise ValueError(f"points must be a positive integer, got {args.points}")
 
+    if args.perturb_k is not None and check_id != "ybe":
+        # a negative control that nothing reads would pass unperturbed
+        raise ValueError(f"perturb_k applies to the ybe check only, not to {check_id}")
     if check_id == "ybe":
         return [relations.check_ybe(d, u, v, norm, rep, budget, perturb_k=args.perturb_k)]
     if check_id == "three_term":

@@ -12,7 +12,7 @@ The grid kernels live in ``_core``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, hypot, lcm
+from math import gcd, hypot, lcm, prod
 
 from . import _core as _k
 
@@ -291,6 +291,23 @@ class SparseOperator:
         rows = _k.scale_grid(self._rows, gre, gim)
         return SparseOperator(self.dim, rows, self._den * q)
 
+    def shifted(self, u) -> "SparseOperator":
+        """self + u 1 for a rational u = a/b, without an identity operator:
+        b times the grid with a den(self) added on the diagonal, cancelled
+        entries dropped.  A common divisor of the result divides gcd(b, den)."""
+        u = Fraction(u)
+        shift = u.numerator * self._den
+        rows = _k.scale_grid(self._rows, u.denominator, 0)
+        for i in range(self.dim) if shift else ():
+            row = rows.setdefault(i, {})
+            re, im = row.pop(i, (0, 0))
+            if re + shift or im:
+                row[i] = (re + shift, im)
+            elif not row:
+                del rows[i]
+        return SparseOperator(self.dim, rows, self._den * u.denominator,
+                              _normalized=gcd(u.denominator, self._den) == 1)
+
     def __matmul__(self, other):
         if not isinstance(other, SparseOperator):
             return NotImplemented
@@ -349,14 +366,9 @@ def embed_pair(op: SparseOperator, slots, dims) -> SparseOperator:
     d1, d2 = dims[s1], dims[s2]
     if op.dim != d1 * d2:
         raise ValueError(f"operator dim {op.dim} != {d1}*{d2}")
-    strides = [0] * len(dims)
-    acc = 1
-    for k in reversed(range(len(dims))):
-        strides[k] = acc
-        acc *= dims[k]
-    others = [k for k in range(len(dims)) if k not in (s1, s2)]
+    strides = [prod(dims[k + 1:]) for k in range(len(dims))]
     offsets = [0]
-    for k in others:
+    for k in (k for k in range(len(dims)) if k not in (s1, s2)):
         offsets = [o + x * strides[k] for o in offsets for x in range(dims[k])]
     grid = {}
     # row (r, o) of the embedding is row r of op shifted by the offset o
@@ -368,7 +380,7 @@ def embed_pair(op: SparseOperator, slots, dims) -> SparseOperator:
                 for c, v in row.items()]
         for o in offsets:
             grid[rbase + o] = {cbase + o: v for cbase, v in cols}
-    return SparseOperator(acc, grid, op._den, _normalized=True)
+    return SparseOperator(prod(dims), grid, op._den, _normalized=True)
 
 
 class RowSymmetry:
@@ -619,7 +631,7 @@ def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
         if symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (a, b, c))):
             rows = symmetry.rows
     lhs = (a._rows, b._rows, c._rows)
-    stream = _k.yb_rows(lhs, lhs[::-1] if with_rhs else None, n, rows)
+    stream = _k.slot_rows(*_yb_factors(lhs, lhs[::-1] if with_rhs else None), (n, n, n), rows)
     return _first_row(stream, n ** 3, a._den * b._den * c._den)
 
 
@@ -629,8 +641,14 @@ def yb_float_max(lhs, rhs, n: int, rows) -> float:
     V (x) V (x) V, dim V = n, for float grids lhs = (A1, A2, A3) and
     rhs = (B1, B2, B3) from ``PatternTable.float_combination``; of the lhs
     alone when ``rhs`` is None.  Rows stream as in ``yb_first_row``."""
-    return max((hypot(*v) for _, row in _k.yb_rows(lhs, rhs, n, rows)
+    return max((hypot(*v) for _, row in _k.slot_rows(*_yb_factors(lhs, rhs), (n, n, n), rows)
                 for v in row.values()), default=0.0)
+
+
+def _yb_factors(lhs, rhs):
+    """The ``_core.slot_rows`` factors of the two sides of ``yb_float_max``."""
+    left, right = (0, 1), (1, 2)
+    return zip(lhs, (left, right, left)), rhs and zip(rhs, (right, left, right))
 
 
 def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
@@ -640,11 +658,11 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
     dim W = m: the residual of the RLL relation, returned as
     ``yb_first_row`` returns its residual.
 
-    The five three-slot operators are embedded once; each row then meets
-    them one product at a time, and the stream stops at the first nonzero
-    row.  If ``symmetry``, on (V, V, W) with one set of lifts on both V
-    slots, certifies R on slots (0, 1) and Lu, Lv on slots (0, 2), only its
-    orbit minima stream; otherwise every row streams in order.  An R whose
+    Rows stream as in ``yb_first_row``: R12 and the L23 apply by index
+    arithmetic, and only the split pair Lu13, Lv13 is embedded.  If
+    ``symmetry``, on (V, V, W) with one set of lifts on both V slots,
+    certifies R on slots (0, 1) and Lu, Lv on slots (0, 2), only its orbit
+    minima stream; otherwise every row streams in order.  An R whose
     ``certified_lifts`` mark names the V lifts, and an L whose mark names
     the (V, W) lifts, skip their certificates; every other operand is
     certified here."""
@@ -659,8 +677,8 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
         if (symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (R,)))
                 and symmetry.certifies((0, 2), *_uncertified(vw, (Lu, Lv)))):
             rows = symmetry.rows
-    R12 = embed_pair(R, (0, 1), dims)
-    lhs = (R12, embed_pair(Lu, (0, 2), dims), embed_pair(Lv, (1, 2), dims))
-    rhs = (embed_pair(Lv, (0, 2), dims), embed_pair(Lu, (1, 2), dims), R12)
-    stream = _k.chain_rows([op._rows for op in lhs], [op._rows for op in rhs], rows)
+    whole = (0, 1, 2)
+    lhs = ((R._rows, (0, 1)), (embed_pair(Lu, (0, 2), dims)._rows, whole), (Lv._rows, (1, 2)))
+    rhs = ((embed_pair(Lv, (0, 2), dims)._rows, whole), (Lu._rows, (1, 2)), (R._rows, (0, 1)))
+    stream = _k.slot_rows(lhs, rhs, dims, rows)
     return _first_row(stream, n * n * m, R._den * Lu._den * Lv._den)

@@ -23,7 +23,7 @@ from .rmatrix import (Normalization, Parity, QuantumRep, RepChoice,
                       assemble_spinor_R, coefficients, fundamental_L0,
                       fundamental_R0, normalization_weights,
                       product_form_slope_at_zero, projectors, quantum_L,
-                      so_defining_rep)
+                      require_perturb_k, so_defining_rep)
 
 DEFAULT_BUDGET_DIM = 2 ** 12
 # seed of the sampled points of the float local checks (local_ybe,
@@ -152,9 +152,11 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
     """R12(u) R23(u+v) R12(v) = R23(v) R12(u+v) R23(u) on V (x) V (x) V."""
     u, v = Fraction(u), Fraction(v)
     params = {"d": d, "u": _fmt(u), "v": _fmt(v), "norm": _fmt(norm), "rep": _fmt(rep)}
-    if perturb_k is not None:
-        params["perturb_k"] = perturb_k
     basis = _basis(d)
+    if perturb_k is not None:
+        # a bad k is a configuration error even where the check would skip
+        require_perturb_k(d, perturb_k)
+        params["perturb_k"] = perturb_k
     n = basis.dim
     cap = budget_dim(budget)
     if n ** 3 >= cap:

@@ -64,16 +64,20 @@ class CoefficientTable:
         return len(self.values)
 
     def perturbed(self, k: int, delta=1) -> "CoefficientTable":
-        """Copy with R_k shifted by delta (negative-control fixture).  k must
-        name an entry, 0 <= k <= d; any other k raises ValueError."""
-        if not 0 <= k <= self.d:
-            raise ValueError(f"perturb_k={k} is outside 0..{self.d}")
+        """Copy with R_k shifted by delta (negative-control fixture)."""
+        require_perturb_k(self.d, k)
         values = list(self.values)
         values[k] = values[k] + ExactScalar(delta)
         return CoefficientTable(self.d, self.u, self.norm, tuple(values))
 
     def fraction_strings(self):
         return [str(v) for v in self.values]
+
+
+def require_perturb_k(d: int, k: int):
+    """ValueError unless k names an entry R_k of a table for d, 0 <= k <= d."""
+    if not 0 <= k <= d:
+        raise ValueError(f"perturb_k={k} is outside 0..{d}")
 
 
 def coefficients(d: int, u, norm: Normalization) -> CoefficientTable:
@@ -259,21 +263,12 @@ def fundamental_R0(d: int, u) -> SparseOperator:
     pole = u + Fraction(d, 2) - 1
     if pole == 0:
         raise PoleError(f"fundamental R-matrix pole at u = {u} = 1 - d/2")
-    trace_coeff = -u / pole
-    acc = {}
-
-    def add(r, c, v):
-        acc[(r, c)] = acc.get((r, c), Fraction(0)) + v
-
-    for i1 in range(d):
-        for i2 in range(d):
-            r = i1 * d + i2
-            add(r, i2 * d + i1, u)  # permutation term
-            add(r, r, Fraction(1))
-            if i1 == i2:
-                for j in range(d):
-                    add(r, j * d + j, trace_coeff)
-    return SparseOperator.from_entries(d * d, acc)
+    # the permutation (i d + j, j d + i) meets the trace term where i = j
+    trace = -u / pole
+    entries = {(i * d + j, j * d + i): u + (trace if i == j else 0)
+               for i in range(d) for j in range(d)}
+    entries.update({(i * (d + 1), j * (d + 1)): trace for i in range(d) for j in range(d) if i != j})
+    return SparseOperator.from_entries(d * d, entries).shifted(1)
 
 
 def fundamental_L0(basis: GammaBasis, u) -> SparseOperator:
@@ -367,12 +362,12 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
     """L-operator u + (i/4) gamma_ab (x) M^ab on (spinor (x) quantum space);
     the double index sum runs over ordered pairs with weight 2.
 
-    It is u 1 + K with K = sum_{a<b} (i/2) gamma_ab (x) M_ab, which does not
-    depend on u: K is built once per (basis, q) and kept on q, so two
-    representations never share one, whatever their values.  K is
-    certified once there against ``basis.row_symmetry(q)``, and since u 1
-    commutes with every lift, each L of an invariant K carries the
-    (V, W) lifts as its ``certified_lifts`` mark."""
+    It is u 1 + K (``K.shifted(u)``) with K = sum_{a<b} (i/2) gamma_ab (x)
+    M_ab, which does not depend on u: K is built once per (basis, q) and
+    kept on q, so two representations never share one, whatever their
+    values.  K is certified once there against ``basis.row_symmetry(q)``,
+    and since u 1 commutes with every lift, each L of an invariant K
+    carries the (V, W) lifts as its ``certified_lifts`` mark."""
     if q.d != basis.d:
         raise ValueError(f"quantum rep is for d={q.d}, basis for d={basis.d}")
     dim = basis.dim * q.m
@@ -388,6 +383,6 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
             mark = (symmetry.lifts[0], symmetry.lifts[2])
         entry = q._couplings[basis] = (coupling, mark)
     coupling, mark = entry
-    L = combination([(SparseOperator.identity(dim), Fraction(u)), (coupling, 1)], dim)
+    L = coupling.shifted(u)
     L.certified_lifts = mark
     return L

@@ -159,17 +159,29 @@ def dense_local_ybe_sides(basis, p, q):
     return lhs, rhs
 
 
+YB_LHS_SLOTS = ((0, 1), (1, 2), (0, 1))
+YB_RHS_SLOTS = ((1, 2), (0, 1), (1, 2))
+
+
+def yb_slot_rows(lhs, rhs, n, rows):
+    """``_core.slot_rows`` of (A1 (x) 1)(1 (x) A2)(A3 (x) 1) -
+    (1 (x) B1)(B2 (x) 1)(1 (x) B3) for grids lhs = (A1, A2, A3) and
+    rhs = (B1, B2, B3) on V (x) V, dim V = n, or of the lhs alone."""
+    return _core.slot_rows(tuple(zip(lhs, YB_LHS_SLOTS)),
+                           rhs and tuple(zip(rhs, YB_RHS_SLOTS)), (n, n, n), rows)
+
+
 def streamed_local_ybe_sides(basis, p, q):
     """Both sides of the local Yang-Baxter relation at p and its primed
-    partner q as dense arrays, from ``_core.yb_rows`` driven over every row
-    of the float factors ``localyb.local_ybe_factors``: the lhs stream
+    partner q as dense arrays, from ``_core.slot_rows`` driven over every
+    row of the float factors ``localyb.local_ybe_factors``: the lhs stream
     alone, and the rhs as the negated stream of an empty lhs."""
     lhs, rhs = local_ybe_factors(component_family(basis, as_exp_components(basis)), p, q)
     n = basis.dim
     sides = []
     for factors, sign in (((lhs, None), 1), ((({}, {}, {}), rhs), -1)):
         out = np.zeros((n ** 3, n ** 3), dtype=complex)
-        for r, row in _core.yb_rows(*factors, n, range(n ** 3)):
+        for r, row in yb_slot_rows(*factors, n, range(n ** 3)):
             for c, (re, im) in row.items():
                 out[r, c] = sign * complex(re, im)
         sides.append(out)
@@ -179,7 +191,7 @@ def streamed_local_ybe_sides(basis, p, q):
 def yb_sides(a, b, c, n):
     """(a (x) 1)(1 (x) b)(c (x) 1) and (1 (x) c)(b (x) 1)(1 (x) a) from
     stored Kronecker factors and products, with dim V = n: the reference for
-    the row stream ``_core.yb_rows`` and ``kernel.yb_first_row``."""
+    the row stream ``_core.slot_rows`` and ``kernel.yb_first_row``."""
     ident = SparseOperator.identity(n)
     lhs = kron(a, ident) @ kron(ident, b) @ kron(c, ident)
     rhs = kron(ident, c) @ kron(b, ident) @ kron(ident, a)
@@ -188,9 +200,9 @@ def yb_sides(a, b, c, n):
 
 def streamed_yb(a, b, c, n, with_rhs=True):
     """The whole residual (a (x) 1)(1 (x) b)(c (x) 1) - (1 (x) c)(b (x) 1)(1 (x) a),
-    or its lhs alone, from ``_core.yb_rows`` driven over every row."""
+    or its lhs alone, from ``_core.slot_rows`` driven over every row."""
     lhs = (a._rows, b._rows, c._rows)
-    rows = _core.yb_rows(lhs, lhs[::-1] if with_rhs else None, n, range(n ** 3))
+    rows = yb_slot_rows(lhs, lhs[::-1] if with_rhs else None, n, range(n ** 3))
     return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
 
 
@@ -207,14 +219,36 @@ def rll_sides(R, Lu, Lv, n, m):
 
 def streamed_rll(R, Lu, Lv, n, m):
     """The whole RLL residual R12 Lu13 Lv23 - Lv13 Lu23 R12 from
-    ``_core.chain_rows`` driven over every row of V (x) V (x) W."""
-    dims = [n, n, m]
-    R12 = embed_pair(R, (0, 1), dims)
-    lhs = (R12, embed_pair(Lu, (0, 2), dims), embed_pair(Lv, (1, 2), dims))
-    rhs = (embed_pair(Lv, (0, 2), dims), embed_pair(Lu, (1, 2), dims), R12)
-    rows = _core.chain_rows([op._rows for op in lhs], [op._rows for op in rhs],
-                            range(n * n * m))
+    ``_core.slot_rows`` driven over every row of V (x) V (x) W: R12 and the
+    L23 by index arithmetic, the L13 embedded."""
+    dims = (n, n, m)
+    Lu13, Lv13 = (embed_pair(L, (0, 2), dims)._rows for L in (Lu, Lv))
+    lhs = ((R._rows, (0, 1)), (Lu13, (0, 1, 2)), (Lv._rows, (1, 2)))
+    rhs = ((Lv13, (0, 1, 2)), (Lu._rows, (1, 2)), (R._rows, (0, 1)))
+    rows = _core.slot_rows(lhs, rhs, dims, range(n * n * m))
     return SparseOperator(n * n * m, dict(rows), R._den * Lu._den * Lv._den)
+
+
+def fundamental_R0_loop(d, u):
+    """u*permutation + identity - u/(u + d/2 - 1)*(trace term) summed entry
+    by entry into one Fraction map: the reference for
+    ``rmatrix.fundamental_R0``, which shifts the other two terms by the
+    identity instead."""
+    trace_coeff = -u / (u + Fraction(d, 2) - 1)
+    acc = {}
+
+    def add(r, c, v):
+        acc[(r, c)] = acc.get((r, c), Fraction(0)) + v
+
+    for i1 in range(d):
+        for i2 in range(d):
+            r = i1 * d + i2
+            add(r, i2 * d + i1, u)  # permutation term
+            add(r, r, Fraction(1))
+            if i1 == i2:
+                for j in range(d):
+                    add(r, j * d + j, trace_coeff)
+    return SparseOperator.from_entries(d * d, acc)
 
 
 def fundamental_L0_loop(basis, u):

@@ -250,6 +250,29 @@ def test_perturb_k_outside_the_table_is_config_error(tmp_path, capsys, k):
     assert json.loads(out)["detail"] == "YBE: first residual -5/36 at entry (1,1)"
 
 
+@pytest.mark.parametrize("d", [4, 10])
+def test_perturb_k_range_is_checked_before_the_budget(tmp_path, capsys, d):
+    # at d=10 the default budget skips ybe; a bad k used to print a skip
+    # line and exit 0 there
+    code, out, err = run_cli(["check", "ybe", "--d", str(d), "--perturb-k", "50"], capsys)
+    assert (code, out, err) == (2, "", f"ybv: error: perturb_k=50 is outside 0..{d}\n")
+    job = {"check": "ybe", "params": {"d": d, "perturb_k": 50}}
+    assert _run_suite(tmp_path, capsys, [job]) == (code, out, err)
+    code, out, _ = run_cli(["check", "ybe", "--d", "10", "--perturb-k", "10"], capsys)
+    assert code == 0 and json.loads(out)["status"] == "skipped"
+
+
+@pytest.mark.parametrize("check_id", ["rll_quantum", "three_term", "unitarity", "local_ybe"])
+def test_perturb_k_on_a_check_that_ignores_it_is_config_error(tmp_path, capsys, check_id):
+    # only ybe perturbs R_k; elsewhere the negative control used to pass
+    # unperturbed
+    code, out, err = run_cli(["check", check_id, "--d", "4", "--perturb-k", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"ybv: error: perturb_k applies to the ybe check only, not to {check_id}\n"
+    job = {"check": check_id, "params": {"d": 4, "perturb_k": 2}}
+    assert _run_suite(tmp_path, capsys, [job]) == (code, out, err)
+
+
 def test_non_finite_value_is_the_same_fail_in_check_and_suite(tmp_path, capsys, monkeypatch):
     # an ArithmeticError inside a check is a verdict under `check` too, not a
     # program bug; the error line of a float check says exact: false

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ybverify import _core, kernel
 from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, combination,
                              embed_pair, kron, rll_first_row, yb_first_row)
 
@@ -262,6 +263,95 @@ def test_rll_stream_matches_materialized_chain(operands):
     assert first.first_nonzero() == (lhs - rhs).first_nonzero()
 
 
+SLOT_TAGS = ((0, 1), (1, 2), (0, 1, 2))
+
+
+@st.composite
+def slot_operands(draw):
+    """dims (n, n, m) with n, m in 1..3, the (grid, slots) factors of a lhs
+    and of a rhs or None, each integer grid sized for its random slot tag,
+    and a sorted subset of the rows."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = {(0, 1): n * n, (1, 2): n * m, (0, 1, 2): n * n * m}
+    parts = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+    def factor():
+        slots = draw(st.sampled_from(SLOT_TAGS))
+        index = st.integers(0, size[slots] - 1)
+        grid = {}
+        for (r, c), v in draw(st.dictionaries(st.tuples(index, index), parts,
+                                              max_size=2 * size[slots])).items():
+            grid.setdefault(r, {})[c] = v
+        return grid, slots
+
+    lhs = tuple(factor() for _ in range(3))
+    rhs = tuple(factor() for _ in range(3)) if draw(st.booleans()) else None
+    rows = sorted(draw(st.sets(st.integers(0, n * n * m - 1))))
+    return (n, n, m), lhs, rhs, rows
+
+
+def _kron_chain(factors, dims):
+    """The product of the factors, each embedded by Kronecker products with
+    identities and stored."""
+    d0, d1, d2 = dims
+    out = SparseOperator.identity(d0 * d1 * d2)
+    for grid, slots in factors:
+        op = SparseOperator({(0, 1): d0 * d1, (1, 2): d1 * d2}.get(slots, d0 * d1 * d2), grid)
+        if slots == (0, 1):
+            op = kron(op, SparseOperator.identity(d2))
+        elif slots == (1, 2):
+            op = kron(SparseOperator.identity(d0), op)
+        out = out @ op
+    return out
+
+
+@given(slot_operands())
+@settings(deadline=None)
+def test_slot_rows_match_the_kron_chain(operands):
+    dims, lhs, rhs, rows = operands
+    size = dims[0] * dims[1] * dims[2]
+    want = _kron_chain(lhs, dims)
+    if rhs is not None:
+        want = want - _kron_chain(rhs, dims)
+    assert SparseOperator(size, dict(_core.slot_rows(lhs, rhs, dims, range(size)))) == want
+    # only the rows asked for stream, in their order
+    got = list(_core.slot_rows(lhs, rhs, dims, rows))
+    assert [r for r, _ in got] == [r for r in rows if r in want._rows]
+    # dyadic float grids are exact: each product of three factors is the
+    # integer product over 4^3
+    def quarter(factors):
+        return factors and tuple(({r: {c: (re / 4, im / 4) for c, (re, im) in row.items()}
+                                   for r, row in grid.items()}, slots) for grid, slots in factors)
+
+    floats = dict(_core.slot_rows(quarter(lhs), quarter(rhs), dims, range(size)))
+    assert floats == {r: {c: (re / 64, im / 64) for c, (re, im) in row.items()}
+                      for r, row in want._rows.items()}
+
+
+def test_rll_first_row_embeds_only_the_split_pair(monkeypatch):
+    # R12 and the L23 apply by index arithmetic; only Lu13 and Lv13 are
+    # embedded, so the kernel.embed_pair span records two calls per check
+    from ybverify import relations as rel
+
+    basis, q = rel._basis(4), rel.so_defining_rep(4)
+    calls = []
+    real = kernel.embed_pair
+
+    def spy(op, slots, dims):
+        calls.append((op, slots, tuple(dims)))
+        return real(op, slots, dims)
+
+    monkeypatch.setattr(kernel, "embed_pair", spy)
+    R = rel._spinor_R(4, Fraction(1, 6), rel.Normalization.PRODUCT_FORM, rel.RepChoice.PRIMED)
+    Lu, Lv = (rel.quantum_L(basis, x, q) for x in (Fraction(1, 2), Fraction(1, 3)))
+    assert rll_first_row(R, Lu, Lv, 4, 4, basis.row_symmetry(q)).is_zero()
+    assert [(op is L, slots, dims) for (op, slots, dims), L in zip(calls, (Lu, Lv))] \
+        == [(True, (0, 2), (4, 4, 4))] * 2 and len(calls) == 2
+    calls.clear()
+    assert rel.check_rll_quantum(4, Fraction(1, 2), Fraction(1, 3), q, "defining").passed
+    assert len(calls) == 2
+
+
 def test_rll_first_row_dimension_mismatch():
     a, b = SparseOperator.identity(4), SparseOperator.identity(6)
     with pytest.raises(ValueError):
@@ -285,6 +375,22 @@ def test_combination_matches_scaled_sums(terms):
     assert combination([(ops[i], c) for i, c in terms], 4) == want
     with pytest.raises(ValueError):
         combination([(SparseOperator.identity(2), 1)], 4)
+
+
+@given(st.integers(1, 5), st.data(), fractions)
+@settings(deadline=None)
+def test_shifted_is_the_canonical_sum_with_the_identity(dim, data, u):
+    # the diagonal may cancel, and the skipped gcd pass must still leave
+    # the canonical form, which == compares structurally
+    index = st.integers(0, dim - 1)
+    entries = data.draw(st.dictionaries(st.tuples(index, index), scalars, max_size=dim * dim))
+    for (i, _), v in list(entries.items()):
+        if data.draw(st.booleans()):
+            entries[(i, i)] = -ExactScalar(u) + v.im * ExactScalar(0, 1)
+    op = SparseOperator.from_entries(dim, entries)
+    got = op.shifted(u)
+    assert got == op + SparseOperator.identity(dim).scale(u)
+    assert all(row and all(v[0] or v[1] for v in row.values()) for row in got._rows.values())
 
 
 def test_yb_difference_dimension_mismatch():

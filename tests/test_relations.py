@@ -695,13 +695,13 @@ def test_planted_non_invariant_coupling_streams_every_row(monkeypatch, name, d):
     symmetry = basis.row_symmetry(planted)
     assert not symmetry.certifies((0, 2), Lu)
     seen = []
-    chain_rows = _core.chain_rows
+    slot_rows = _core.slot_rows
 
-    def spy(lhs, rhs, rows):
+    def spy(lhs, rhs, dims, rows):
         seen.append(rows)
-        return chain_rows(lhs, rhs, rows)
+        return slot_rows(lhs, rhs, dims, rows)
 
-    monkeypatch.setattr(_core, "chain_rows", spy)
+    monkeypatch.setattr(_core, "slot_rows", spy)
     lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
     (r, c), value = (lhs - rhs).first_nonzero()
     assert rll_first_row(R, Lu, Lv, basis.dim, q.m, symmetry).first_nonzero() == ((r, c), value)

@@ -333,15 +333,15 @@ def _planted(op):
 
 
 def _streamed_rows(monkeypatch):
-    """The ``rows`` argument of every ``_core.yb_rows`` call, as recorded."""
+    """The ``rows`` argument of every ``_core.slot_rows`` call, as recorded."""
     seen = []
-    yb_rows = _core.yb_rows
+    slot_rows = _core.slot_rows
 
-    def spy(lhs, rhs, n, rows):
+    def spy(lhs, rhs, dims, rows):
         seen.append(rows)
-        return yb_rows(lhs, rhs, n, rows)
+        return slot_rows(lhs, rhs, dims, rows)
 
-    monkeypatch.setattr(_core, "yb_rows", spy)
+    monkeypatch.setattr(_core, "slot_rows", spy)
     return seen
 
 
@@ -503,6 +503,18 @@ def test_fundamental_R0_trace_coefficient():
     assert R.entry(5, 0) == ExactScalar(Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+def test_fundamental_R0_matches_the_entry_loop(d):
+    # at u = 2 - d/2 the trace weight is -u; u = 0 is the pole at d = 2
+    for u in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 7), Fraction(5, 2),
+              Fraction(2 - d // 2), Fraction(9876543211, 1234567890)):
+        if u == 1 - d // 2:
+            with pytest.raises(PoleError):
+                fundamental_R0(d, u)
+            continue
+        assert fundamental_R0(d, u) == helpers.fundamental_R0_loop(d, u), u
+
+
 def test_fundamental_R0_pole():
     with pytest.raises(PoleError):
         fundamental_R0(4, Fraction(-1))
@@ -583,9 +595,16 @@ def test_quantum_L_matches_combination_oracle(bases, d):
     basis = bases[d]
     defining = so_defining_rep(d)
     custom = QuantumRep(d, d, dict(defining._gens), defining.lifts)
+    # the spinor K has diagonal entries +-1/4 and +-3/4 at d = 6, so L
+    # cancels on the diagonal at u = 1/4 or -3/4; no stored entry is zero
+    points = (Fraction(0), Fraction(1, 2), Fraction(-3, 7), Fraction(1, 4), Fraction(-3, 4),
+              Fraction(5, 7), Fraction(9876543211, 1234567890))
     for q in (defining, so_spinor_rep(basis), custom):
-        for u in (Fraction(0), Fraction(1, 2), Fraction(-3, 7)):
-            assert quantum_L(basis, u, q) == combination_quantum_L(basis, u, q), (q, u)
+        for u in points:
+            L = quantum_L(basis, u, q)
+            assert L == combination_quantum_L(basis, u, q), (q, u)
+            assert all(row and all(v[0] or v[1] for v in row.values())
+                       for row in L._rows.values()), (q, u)
 
 
 def test_reps_with_equal_m_never_share_a_coupling(bases):
