@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybverify import _core, kernel
+from ybverify import _core, kernel, relations
 from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, combination,
                              embed_pair, kron, rll_first_row, yb_first_row)
+from ybverify.rmatrix import Normalization, RepChoice, quantum_L, so_defining_rep
 
 from helpers import (dense_kron, dense_mul, parse_scalar, rand_operator, rll_sides,
                      streamed_rll, streamed_yb, yb_sides)
@@ -331,9 +332,7 @@ def test_slot_rows_match_the_kron_chain(operands):
 def test_rll_first_row_embeds_only_the_split_pair(monkeypatch):
     # R12 and the L23 apply by index arithmetic; only Lu13 and Lv13 are
     # embedded, so the kernel.embed_pair span records two calls per check
-    from ybverify import relations as rel
-
-    basis, q = rel._basis(4), rel.so_defining_rep(4)
+    basis, q = relations._basis(4), so_defining_rep(4)
     calls = []
     real = kernel.embed_pair
 
@@ -342,13 +341,14 @@ def test_rll_first_row_embeds_only_the_split_pair(monkeypatch):
         return real(op, slots, dims)
 
     monkeypatch.setattr(kernel, "embed_pair", spy)
-    R = rel._spinor_R(4, Fraction(1, 6), rel.Normalization.PRODUCT_FORM, rel.RepChoice.PRIMED)
-    Lu, Lv = (rel.quantum_L(basis, x, q) for x in (Fraction(1, 2), Fraction(1, 3)))
+    R = relations._spinor_R(4, Fraction(1, 6), Normalization.PRODUCT_FORM, RepChoice.PRIMED)
+    Lu, Lv = (quantum_L(basis, x, q) for x in (Fraction(1, 2), Fraction(1, 3)))
     assert rll_first_row(R, Lu, Lv, 4, 4, basis.row_symmetry(q)).is_zero()
-    assert [(op is L, slots, dims) for (op, slots, dims), L in zip(calls, (Lu, Lv))] \
-        == [(True, (0, 2), (4, 4, 4))] * 2 and len(calls) == 2
+    assert len(calls) == 2
+    assert all(op is L and slots == (0, 2) and dims == (4, 4, 4)
+               for (op, slots, dims), L in zip(calls, (Lu, Lv)))
     calls.clear()
-    assert rel.check_rll_quantum(4, Fraction(1, 2), Fraction(1, 3), q, "defining").passed
+    assert relations.check_rll_quantum(4, Fraction(1, 2), Fraction(1, 3), q, "defining").passed
     assert len(calls) == 2
 
 
