@@ -21,7 +21,9 @@ at d=6):
 
 - ``orbit-reduced``: ``kernel.rll_first_row`` with the symmetry of the
   quantum lifts: the certificate on R, L(u) and L(v), then one row per
-  orbit, stopping at the first nonzero row;
+  orbit, stopping at the first nonzero row; L13 streams as u 1 + K13, with
+  K13 embedded at the first call and kept, so the best of ``--repeat``
+  runs times the cached path;
 - ``ordered stream``: ``kernel.rll_first_row`` without a symmetry, every
   row in order until the first nonzero one;
 - ``materialized``: the five embedded operators, four sparse products and
@@ -64,9 +66,9 @@ def spinor_R(basis, x, perturb_k=None):
 
 def streamed(a, b, c, n):
     left, right = (0, 1), (1, 2)
-    rows = _core.slot_rows(((a._rows, left), (b._rows, right), (c._rows, left)),
-                           ((c._rows, right), (b._rows, left), (a._rows, right)), (n, n, n),
-                           range(n ** 3))
+    rows = _core.slot_rows(((((a._rows, left), (b._rows, right), (c._rows, left)), 1),
+                            (((c._rows, right), (b._rows, left), (a._rows, right)), -1)),
+                           (n, n, n), range(n ** 3))
     return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
 
 

@@ -171,36 +171,47 @@ def _times_right(vec, xrows, n2, out):
     return out
 
 
-def slot_rows(lhs, rhs, dims, rows):
+def _affine(times, scale, shift):
+    """``times`` for scale X + shift 1: shift 1 acts as X does on a last
+    slot of dimension one."""
+    one = {0: {0: (shift, 0)}}
+
+    def apply(vec, xrows, n, out):
+        times({col: (scale * v[0], scale * v[1]) for col, v in vec.items()}, xrows, n, out)
+        return _times_right(vec, one, 1, out)
+    return apply
+
+
+def slot_rows(sides, dims, rows):
     """Yield (r, row) for each index r in ``rows`` whose row of
-    X1 X2 X3 - Y1 Y2 Y3 is nonzero, on three slots of dimensions
-    dims = (d0, d1, d2), for lhs and rhs triples of (grid, slots) factors;
-    of the lhs alone when ``rhs`` is None.  A grid on slots (0, 1) acts as
-    X (x) 1, on (1, 2) as 1 (x) X, and on (0, 1, 2) on the whole space.
-    Row-wise (Gustavson): row r of a side starts from the row of its first
-    factor that r selects, shifted by index arithmetic (negated on the rhs),
-    and meets the other factors one at a time, so no embedded factor or
-    product is stored.  Integer rows are over the product of the lhs
-    denominators, which the rhs must share; float grids stream as well."""
+    sum_s w_s X1 X2 X3 is nonzero, on three slots of dimensions
+    dims = (d0, d1, d2), for the (factors, w) pairs in ``sides``: w an
+    integer weight and factors a triple of (grid, slots) or
+    (grid, slots, scale, shift) factors.  A grid on slots (0, 1) acts as
+    X (x) 1, on (1, 2) as 1 (x) X, and on (0, 1, 2) on the whole space;
+    with integers (scale, shift) it acts as scale X + shift 1.
+    Row-wise (Gustavson): row r of a side is w e_r met by its factors one
+    at a time, each by index arithmetic, so no embedded factor or product
+    is stored.  Sides over different integer denominators meet over a
+    common one when each w is that denominator over its side's; the
+    Yang-Baxter residual takes w = 1 and -1.  Float grids stream as well."""
     d0, d1, d2 = dims
-    n = d0 * d1 * d2
-    # slots -> ((s, size), (times, stride)): entry x of a row vector meets
-    # row (x // s) % size of the grid; times applies the factor to a vector
-    tags = {(0, 1): ((d2, d0 * d1), (_times_left, d2)),
-            (1, 2): ((1, d1 * d2), (_times_right, d1 * d2)),
-            (0, 1, 2): ((1, n), (_times_right, n))}
-    sides = ((lhs, False),) if rhs is None else ((lhs, False), (rhs, True))
-    chains = [(x1, tags[s1][0], neg, tags[s2][1], x2, tags[s3][1], x3)
-              for ((x1, s1), (x2, s2), (x3, s3)), neg in sides]
+    # slots -> (times, stride): times applies the factor to a row vector
+    tags = {(0, 1): (_times_left, d2), (1, 2): (_times_right, d1 * d2),
+            (0, 1, 2): (_times_right, d0 * d1 * d2)}
+    chains = []
+    for factors, w in sides:
+        chain = [(w, 0)]
+        # a (grid, slots) factor is (grid, slots, 1, 0)
+        for x, s, scale, shift in ((*f, 1, 0)[:4] for f in factors):
+            times, stride = tags[s]
+            chain += [times if (scale, shift) == (1, 0) else _affine(times, scale, shift),
+                      x, stride]
+        chains.append(chain)
     for r in rows:
         acc = {}
-        for x1, (s, size), neg, (times2, n2), x2, (times3, n3), x3 in chains:
-            p = r // s % size
-            xrow = x1.get(p)
-            if xrow:
-                base = r - p * s
-                start = {base + q * s: (-v[0], -v[1]) if neg else v for q, v in xrow.items()}
-                times3(times2(start, x2, n2, {}), x3, n3, acc)
+        for w, times1, x1, n1, times2, x2, n2, times3, x3, n3 in chains:
+            times3(times2(times1({r: w}, x1, n1, {}), x2, n2, {}), x3, n3, acc)
         row = _nonzero(acc)
         if row:
             yield r, row

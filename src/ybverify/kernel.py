@@ -133,10 +133,12 @@ class SparseOperator:
     Only ``PatternTable.combination`` sets it, on a combination of a family
     that passed its certificate, and ``rmatrix.quantum_L``, on u 1 + K for a
     certified K; every other constructor and operation leaves it None, and
-    ``==`` and ``hash`` ignore it.
+    ``==`` and ``hash`` ignore it.  ``coupling``, set by
+    ``rmatrix.quantum_L`` alone and dropped as ``certified_lifts`` is, is
+    (entry, u) on u 1 + K, for its coupling entry (K, lifts mark, {dims: K13}).
     """
 
-    __slots__ = ("dim", "_rows", "_den", "certified_lifts")
+    __slots__ = ("dim", "_rows", "_den", "certified_lifts", "coupling")
 
     def __init__(self, dim: int, rows=None, den: int = 1, _normalized=False):
         if dim <= 0:
@@ -146,7 +148,7 @@ class SparseOperator:
         self.dim = dim
         self._rows = rows or {}
         self._den = den
-        self.certified_lifts = None
+        self.certified_lifts = self.coupling = None
         if not _normalized:
             self._normalize()
 
@@ -293,11 +295,16 @@ class SparseOperator:
 
     def shifted(self, u) -> "SparseOperator":
         """self + u 1 for a rational u = a/b, without an identity operator:
-        b times the grid with a den(self) added on the diagonal, cancelled
-        entries dropped.  A common divisor of the result divides gcd(b, den)."""
+        over D = lcm(b, den), D/den times the grid with a D/b added on the
+        diagonal, cancelled entries dropped.  Only primes of gcd(b, den)
+        can divide the content: a prime of D/den divides b, not a D/b, so
+        no diagonal entry; one of D/b divides den, so not some numerator of
+        the canonical grid, nor that entry plus a D/b.  So gcd(b, den) = 1
+        means lowest terms."""
         u = Fraction(u)
-        shift = u.numerator * self._den
-        rows = _k.scale_grid(self._rows, u.denominator, 0)
+        den = lcm(u.denominator, self._den)
+        shift = u.numerator * (den // u.denominator)
+        rows = _k.scale_grid(self._rows, den // self._den, 0)
         for i in range(self.dim) if shift else ():
             row = rows.setdefault(i, {})
             re, im = row.pop(i, (0, 0))
@@ -305,7 +312,7 @@ class SparseOperator:
                 row[i] = (re + shift, im)
             elif not row:
                 del rows[i]
-        return SparseOperator(self.dim, rows, self._den * u.denominator,
+        return SparseOperator(self.dim, rows, den,
                               _normalized=gcd(u.denominator, self._den) == 1)
 
     def __matmul__(self, other):
@@ -631,7 +638,7 @@ def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
         if symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (a, b, c))):
             rows = symmetry.rows
     lhs = (a._rows, b._rows, c._rows)
-    stream = _k.slot_rows(*_yb_factors(lhs, lhs[::-1] if with_rhs else None), (n, n, n), rows)
+    stream = _k.slot_rows(_yb_sides(lhs, lhs[::-1] if with_rhs else None), (n, n, n), rows)
     return _first_row(stream, n ** 3, a._den * b._den * c._den)
 
 
@@ -641,14 +648,15 @@ def yb_float_max(lhs, rhs, n: int, rows) -> float:
     V (x) V (x) V, dim V = n, for float grids lhs = (A1, A2, A3) and
     rhs = (B1, B2, B3) from ``PatternTable.float_combination``; of the lhs
     alone when ``rhs`` is None.  Rows stream as in ``yb_first_row``."""
-    return max((hypot(*v) for _, row in _k.slot_rows(*_yb_factors(lhs, rhs), (n, n, n), rows)
+    return max((hypot(*v) for _, row in _k.slot_rows(_yb_sides(lhs, rhs), (n, n, n), rows)
                 for v in row.values()), default=0.0)
 
 
-def _yb_factors(lhs, rhs):
-    """The ``_core.slot_rows`` factors of the two sides of ``yb_float_max``."""
+def _yb_sides(lhs, rhs):
+    """The ``_core.slot_rows`` sides of ``yb_float_max``, the rhs negated."""
     left, right = (0, 1), (1, 2)
-    return zip(lhs, (left, right, left)), rhs and zip(rhs, (right, left, right))
+    return [(zip(lhs, (left, right, left)), 1)] + (
+        [(zip(rhs, (right, left, right)), -1)] if rhs is not None else [])
 
 
 def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
@@ -659,7 +667,7 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
     ``yb_first_row`` returns its residual.
 
     Rows stream as in ``yb_first_row``: R12 and the L23 apply by index
-    arithmetic, and only the split pair Lu13, Lv13 is embedded.  If
+    arithmetic, and each L13 as scale X + shift 1 (``_slot13``).  If
     ``symmetry``, on (V, V, W) with one set of lifts on both V slots,
     certifies R on slots (0, 1) and Lu, Lv on slots (0, 2), only its orbit
     minima stream; otherwise every row streams in order.  An R whose
@@ -677,8 +685,25 @@ def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
         if (symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (R,)))
                 and symmetry.certifies((0, 2), *_uncertified(vw, (Lu, Lv)))):
             rows = symmetry.rows
-    whole = (0, 1, 2)
-    lhs = ((R._rows, (0, 1)), (embed_pair(Lu, (0, 2), dims)._rows, whole), (Lv._rows, (1, 2)))
-    rhs = ((embed_pair(Lv, (0, 2), dims)._rows, whole), (Lu._rows, (1, 2)), (R._rows, (0, 1)))
-    stream = _k.slot_rows(lhs, rhs, dims, rows)
-    return _first_row(stream, n * n * m, R._den * Lu._den * Lv._den)
+    (u13, uden), (v13, vden) = _slot13(Lu, dims), _slot13(Lv, dims)
+    # a side is over den(R) den(L13) den(L23), and a marked L13 is not over
+    # den(L); the weights bring both sides to the lcm
+    lden, rden = uden * Lv._den, vden * Lu._den
+    den = lcm(lden, rden)
+    lhs = ((R._rows, (0, 1)), u13, (Lv._rows, (1, 2)))
+    rhs = (v13, (Lu._rows, (1, 2)), (R._rows, (0, 1)))
+    stream = _k.slot_rows(((lhs, den // lden), (rhs, -(den // rden))), dims, rows)
+    return _first_row(stream, n * n * m, R._den * den)
+
+
+def _slot13(L: SparseOperator, dims):
+    """(factor, den): L on slots (0, 2) of dims as a ``_core.slot_rows``
+    factor over den.  An L marked u 1 + K is den(u) K13 + num(u) den(K) 1
+    over den(u) den(K), with K13 embedded once per coupling entry and dims;
+    any other L is embedded here."""
+    if L.coupling is None:
+        return (embed_pair(L, (0, 2), dims)._rows, (0, 1, 2)), L._den
+    (K, _, embedded), u = L.coupling
+    if dims not in embedded:
+        embedded[dims] = embed_pair(K, (0, 2), dims)._rows
+    return (embedded[dims], (0, 1, 2), u.denominator, u.numerator * K._den), u.denominator * K._den

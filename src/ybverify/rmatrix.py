@@ -248,8 +248,9 @@ def assemble_spinor_R(basis: GammaBasis, table: CoefficientTable,
                  Parity.FULL: range(basis.d + 1)}[parity])
 
 
+@lru_cache(maxsize=None)
 def projectors(basis: GammaBasis):
-    """Chirality-pair projectors P+- = (1 (x) 1 +- gamma5 (x) gamma5)/2."""
+    """Chirality-pair projectors P+- = (1 (x) 1 +- gamma5 (x) gamma5)/2, cached."""
     ident = SparseOperator.identity(basis.dim * basis.dim)
     g55 = kron(basis.gamma5, basis.gamma5)
     half = Fraction(1, 2)
@@ -293,7 +294,7 @@ class QuantumRep:
         self.m = m
         self._gens = gens  # {(a, b): op} for a < b, 1-based
         self.lifts = None if lifts is None else tuple(lifts)
-        self._couplings = {}  # (K, mark) of quantum_L, by basis
+        self._couplings = {}  # (K, mark, {dims: K13}) of quantum_L, by basis
 
     def gen(self, a: int, b: int) -> SparseOperator:
         if not (1 <= a <= self.d and 1 <= b <= self.d):
@@ -367,7 +368,9 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
     kept on q, so two representations never share one, whatever their
     values.  K is certified once there against ``basis.row_symmetry(q)``,
     and since u 1 commutes with every lift, each L of an invariant K
-    carries the (V, W) lifts as its ``certified_lifts`` mark."""
+    carries the (V, W) lifts as its ``certified_lifts`` mark.  Its
+    ``coupling`` mark (entry, u) lets ``kernel.rll_first_row`` embed K, not
+    L, on slots (0, 2), at the first RLL use, and keep K13 in the entry."""
     if q.d != basis.d:
         raise ValueError(f"quantum rep is for d={q.d}, basis for d={basis.d}")
     dim = basis.dim * q.m
@@ -381,8 +384,7 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
         mark = None
         if symmetry is not None and symmetry.certifies((0, 2), coupling):
             mark = (symmetry.lifts[0], symmetry.lifts[2])
-        entry = q._couplings[basis] = (coupling, mark)
-    coupling, mark = entry
-    L = coupling.shifted(u)
-    L.certified_lifts = mark
+        entry = q._couplings[basis] = (coupling, mark, {})
+    L = entry[0].shifted(u)
+    L.certified_lifts, L.coupling = entry[1], (entry, Fraction(u))
     return L

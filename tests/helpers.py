@@ -167,8 +167,10 @@ def yb_slot_rows(lhs, rhs, n, rows):
     """``_core.slot_rows`` of (A1 (x) 1)(1 (x) A2)(A3 (x) 1) -
     (1 (x) B1)(B2 (x) 1)(1 (x) B3) for grids lhs = (A1, A2, A3) and
     rhs = (B1, B2, B3) on V (x) V, dim V = n, or of the lhs alone."""
-    return _core.slot_rows(tuple(zip(lhs, YB_LHS_SLOTS)),
-                           rhs and tuple(zip(rhs, YB_RHS_SLOTS)), (n, n, n), rows)
+    sides = [(tuple(zip(lhs, YB_LHS_SLOTS)), 1)]
+    if rhs is not None:
+        sides.append((tuple(zip(rhs, YB_RHS_SLOTS)), -1))
+    return _core.slot_rows(sides, (n, n, n), rows)
 
 
 def streamed_local_ybe_sides(basis, p, q):
@@ -225,7 +227,7 @@ def streamed_rll(R, Lu, Lv, n, m):
     Lu13, Lv13 = (embed_pair(L, (0, 2), dims)._rows for L in (Lu, Lv))
     lhs = ((R._rows, (0, 1)), (Lu13, (0, 1, 2)), (Lv._rows, (1, 2)))
     rhs = ((Lv13, (0, 1, 2)), (Lu._rows, (1, 2)), (R._rows, (0, 1)))
-    rows = _core.slot_rows(lhs, rhs, dims, range(n * n * m))
+    rows = _core.slot_rows(((lhs, 1), (rhs, -1)), dims, range(n * n * m))
     return SparseOperator(n * n * m, dict(rows), R._den * Lu._den * Lv._den)
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ybverify import _core, kernel, relations
 from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, combination,
                              embed_pair, kron, rll_first_row, yb_first_row)
-from ybverify.rmatrix import Normalization, RepChoice, quantum_L, so_defining_rep
+from ybverify.rmatrix import (Normalization, RepChoice, quantum_L, so_defining_rep,
+                              so_spinor_rep)
 
 from helpers import (dense_kron, dense_mul, parse_scalar, rand_operator, rll_sides,
                      streamed_rll, streamed_yb, yb_sides)
@@ -268,10 +269,12 @@ SLOT_TAGS = ((0, 1), (1, 2), (0, 1, 2))
 
 
 @st.composite
-def slot_operands(draw):
-    """dims (n, n, m) with n, m in 1..3, the (grid, slots) factors of a lhs
-    and of a rhs or None, each integer grid sized for its random slot tag,
-    and a sorted subset of the rows."""
+def slot_operands(draw, affine=False):
+    """dims (n, n, m) with n, m in 1..3, the sides of a stream and a sorted
+    subset of the rows.  A side is (factors, weight): three integer
+    (grid, slots) factors, each grid sized for its random slot tag, with
+    weight 1 for the lhs and -1 for an optional rhs; with ``affine``, each
+    factor may carry a random (scale, shift) and each weight is random."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     size = {(0, 1): n * n, (1, 2): n * m, (0, 1, 2): n * n * m}
     parts = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
@@ -283,56 +286,73 @@ def slot_operands(draw):
         for (r, c), v in draw(st.dictionaries(st.tuples(index, index), parts,
                                               max_size=2 * size[slots])).items():
             grid.setdefault(r, {})[c] = v
+        if affine and draw(st.booleans()):
+            return grid, slots, draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         return grid, slots
 
-    lhs = tuple(factor() for _ in range(3))
-    rhs = tuple(factor() for _ in range(3)) if draw(st.booleans()) else None
+    def weight(default):
+        return draw(st.integers(-4, 4)) if affine else default
+
+    sides = [(tuple(factor() for _ in range(3)), weight(1))]
+    if draw(st.booleans()):
+        sides.append((tuple(factor() for _ in range(3)), weight(-1)))
     rows = sorted(draw(st.sets(st.integers(0, n * n * m - 1))))
-    return (n, n, m), lhs, rhs, rows
+    return (n, n, m), sides, rows
 
 
-def _kron_chain(factors, dims):
-    """The product of the factors, each embedded by Kronecker products with
-    identities and stored."""
+def _kron_chain(sides, dims, den=1):
+    """sum_s w_s X1 X2 X3 over the (factors, w) sides, each factor a grid
+    over ``den`` on its slots, as scale X + shift 1 when it carries
+    (scale, shift), embedded by Kronecker products with identities and
+    stored."""
     d0, d1, d2 = dims
-    out = SparseOperator.identity(d0 * d1 * d2)
-    for grid, slots in factors:
-        op = SparseOperator({(0, 1): d0 * d1, (1, 2): d1 * d2}.get(slots, d0 * d1 * d2), grid)
-        if slots == (0, 1):
-            op = kron(op, SparseOperator.identity(d2))
-        elif slots == (1, 2):
-            op = kron(SparseOperator.identity(d0), op)
-        out = out @ op
+    size = d0 * d1 * d2
+    out = SparseOperator.zero(size)
+    for factors, w in sides:
+        side = SparseOperator.identity(size)
+        for grid, slots, scale, shift in ((*f, 1, 0)[:4] for f in factors):
+            op = SparseOperator({(0, 1): d0 * d1, (1, 2): d1 * d2}.get(slots, size), grid, den)
+            if slots == (0, 1):
+                op = kron(op, SparseOperator.identity(d2))
+            elif slots == (1, 2):
+                op = kron(SparseOperator.identity(d0), op)
+            side = side @ op.scale(scale).shifted(shift)
+        out = out + side.scale(w)
     return out
+
+
+def _check_slot_rows(dims, sides, rows):
+    size = dims[0] * dims[1] * dims[2]
+    want = _kron_chain(sides, dims)
+    assert SparseOperator(size, dict(_core.slot_rows(sides, dims, range(size)))) == want
+    # only the rows asked for stream, in their order
+    got = list(_core.slot_rows(sides, dims, rows))
+    assert [r for r, _ in got] == [r for r in rows if r in want._rows]
+    # dyadic float grids are exact: each entry is a short sum of products
+    # of quarters and small integers
+    quarters = [(tuple(({r: {c: (re / 4, im / 4) for c, (re, im) in row.items()}
+                         for r, row in f[0].items()}, *f[1:]) for f in factors), w)
+                for factors, w in sides]
+    exact = {}
+    for (r, c), v in _kron_chain(sides, dims, den=4).items():
+        exact.setdefault(r, {})[c] = (float(v.re), float(v.im))
+    assert dict(_core.slot_rows(quarters, dims, range(size))) == exact
 
 
 @given(slot_operands())
 @settings(deadline=None)
 def test_slot_rows_match_the_kron_chain(operands):
-    dims, lhs, rhs, rows = operands
-    size = dims[0] * dims[1] * dims[2]
-    want = _kron_chain(lhs, dims)
-    if rhs is not None:
-        want = want - _kron_chain(rhs, dims)
-    assert SparseOperator(size, dict(_core.slot_rows(lhs, rhs, dims, range(size)))) == want
-    # only the rows asked for stream, in their order
-    got = list(_core.slot_rows(lhs, rhs, dims, rows))
-    assert [r for r, _ in got] == [r for r in rows if r in want._rows]
-    # dyadic float grids are exact: each product of three factors is the
-    # integer product over 4^3
-    def quarter(factors):
-        return factors and tuple(({r: {c: (re / 4, im / 4) for c, (re, im) in row.items()}
-                                   for r, row in grid.items()}, slots) for grid, slots in factors)
-
-    floats = dict(_core.slot_rows(quarter(lhs), quarter(rhs), dims, range(size)))
-    assert floats == {r: {c: (re / 64, im / 64) for c, (re, im) in row.items()}
-                      for r, row in want._rows.items()}
+    _check_slot_rows(*operands)
 
 
-def test_rll_first_row_embeds_only_the_split_pair(monkeypatch):
-    # R12 and the L23 apply by index arithmetic; only Lu13 and Lv13 are
-    # embedded, so the kernel.embed_pair span records two calls per check
-    basis, q = relations._basis(4), so_defining_rep(4)
+@given(slot_operands(affine=True))
+@settings(deadline=None)
+def test_affine_factors_and_side_weights_match_the_kron_chain(operands):
+    _check_slot_rows(*operands)
+
+
+def _embed_spy(monkeypatch):
+    """The (op, slots, dims) of every ``kernel.embed_pair`` call, as recorded."""
     calls = []
     real = kernel.embed_pair
 
@@ -341,15 +361,69 @@ def test_rll_first_row_embeds_only_the_split_pair(monkeypatch):
         return real(op, slots, dims)
 
     monkeypatch.setattr(kernel, "embed_pair", spy)
+    return calls
+
+
+_RLL_POINTS = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(7, 4), Fraction(-2, 3)),
+               (Fraction(-5, 6), Fraction(3, 8)),
+               (Fraction(1234567891, 987654323), Fraction(-9876543211, 123456791))]
+
+
+def test_marked_L_embeds_its_coupling_once_per_dims(monkeypatch):
+    # R12 and the L23 apply by index arithmetic, and L13 = u 1 + K13 with
+    # K13 embedded at the first use of a fresh rep and kept by its entry
+    basis, q = relations._basis(4), so_defining_rep.__wrapped__(4)
+    calls = _embed_spy(monkeypatch)
+    for u, v in _RLL_POINTS:
+        R = relations._spinor_R(4, u - v, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
+        Lu, Lv = quantum_L(basis, u, q), quantum_L(basis, v, q)
+        assert rll_first_row(R, Lu, Lv, 4, 4, basis.row_symmetry(q)).is_zero()
+    (K, _, embedded), = q._couplings.values()
+    assert calls == [(K, (0, 2), (4, 4, 4))]
+    assert list(embedded) == [(4, 4, 4)]
+
+
+def test_rll_fundamental_and_quantum_share_one_embedding(monkeypatch):
+    q = so_defining_rep(4)
+    monkeypatch.setattr(q, "_couplings", {})
+    calls = _embed_spy(monkeypatch)
+    assert relations.check_rll_fundamental(4, Fraction(1, 2), Fraction(1, 3)).passed
+    assert relations.check_rll_quantum(4, Fraction(5, 2), Fraction(1, 3), q, "defining").passed
+    assert len(calls) == 1
+
+
+def test_unmarked_L_is_embedded_on_every_call(monkeypatch):
+    # an L built by any operation carries no coupling mark, so its L13 is
+    # its own embedding, built per call
+    basis, q = relations._basis(4), so_defining_rep(4)
     R = relations._spinor_R(4, Fraction(1, 6), Normalization.PRODUCT_FORM, RepChoice.PRIMED)
-    Lu, Lv = (quantum_L(basis, x, q) for x in (Fraction(1, 2), Fraction(1, 3)))
-    assert rll_first_row(R, Lu, Lv, 4, 4, basis.row_symmetry(q)).is_zero()
-    assert len(calls) == 2
-    assert all(op is L and slots == (0, 2) and dims == (4, 4, 4)
-               for (op, slots, dims), L in zip(calls, (Lu, Lv)))
-    calls.clear()
-    assert relations.check_rll_quantum(4, Fraction(1, 2), Fraction(1, 3), q, "defining").passed
-    assert len(calls) == 2
+    Lu, Lv = (quantum_L(basis, x, q).scale(1) for x in (Fraction(1, 2), Fraction(1, 3)))
+    assert Lu.coupling is None and Lv.coupling is None
+    calls = _embed_spy(monkeypatch)
+    for _ in range(2):
+        assert rll_first_row(R, Lu, Lv, 4, 4, basis.row_symmetry(q)).is_zero()
+    assert calls == [(L, (0, 2), (4, 4, 4)) for L in (Lu, Lv, Lu, Lv)]
+
+
+def _first_row_of(op):
+    """The operator holding the first nonzero row of op alone, or zero."""
+    if op.is_zero():
+        return SparseOperator.zero(op.dim)
+    r = min(op._rows)
+    return SparseOperator(op.dim, {r: op._rows[r]}, op._den)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("u,v", _RLL_POINTS)
+def test_rll_first_row_is_the_materialized_first_row(d, u, v):
+    basis = relations._basis(d)
+    for q in (so_defining_rep(d), so_spinor_rep(basis)):
+        R = relations._spinor_R(d, u - v, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
+        Lu, Lv = quantum_L(basis, u, q), quantum_L(basis, v, q)
+        lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
+        want = _first_row_of(lhs - rhs)
+        assert rll_first_row(R, Lu, Lv, basis.dim, q.m, basis.row_symmetry(q)) == want
+        assert rll_first_row(R, Lu, Lv, basis.dim, q.m) == want
 
 
 def test_rll_first_row_dimension_mismatch():
@@ -391,6 +465,19 @@ def test_shifted_is_the_canonical_sum_with_the_identity(dim, data, u):
     got = op.shifted(u)
     assert got == op + SparseOperator.identity(dim).scale(u)
     assert all(row and all(v[0] or v[1] for v in row.values()) for row in got._rows.values())
+
+
+@pytest.mark.parametrize("name,u,den", [("spinor", Fraction(7, 4), 2),
+                                        ("defining", Fraction(1, 2), 2)])
+def test_shifted_cancels_the_content_of_a_coupling(name, u, den):
+    # K of d = 6 has den 4 (spinor) or 2 (defining), so b and den(K) share
+    # a factor and the sum has a content to cancel
+    basis = relations._basis(6)
+    q = so_defining_rep(6) if name == "defining" else so_spinor_rep(basis)
+    K = quantum_L(basis, 0, q)
+    got = K.shifted(u)
+    assert got == K + SparseOperator.identity(K.dim).scale(u)
+    assert got._den == den
 
 
 def test_yb_difference_dimension_mismatch():

@@ -697,9 +697,9 @@ def test_planted_non_invariant_coupling_streams_every_row(monkeypatch, name, d):
     seen = []
     slot_rows = _core.slot_rows
 
-    def spy(lhs, rhs, dims, rows):
+    def spy(sides, dims, rows):
         seen.append(rows)
-        return slot_rows(lhs, rhs, dims, rows)
+        return slot_rows(sides, dims, rows)
 
     monkeypatch.setattr(_core, "slot_rows", spy)
     lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)

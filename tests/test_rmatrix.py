@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybverify import _core, rmatrix
+from ybverify import _core, relations, rmatrix
 from ybverify.clifford import as_exp_components, as_exponential, build_gamma
 from ybverify.kernel import ExactScalar, SparseOperator, embed_pair, kron, yb_first_row
 from ybverify.rmatrix import (CoefficientTable, Normalization, Parity,
@@ -337,9 +337,9 @@ def _streamed_rows(monkeypatch):
     seen = []
     slot_rows = _core.slot_rows
 
-    def spy(lhs, rhs, dims, rows):
+    def spy(sides, dims, rows):
         seen.append(rows)
-        return slot_rows(lhs, rhs, dims, rows)
+        return slot_rows(sides, dims, rows)
 
     monkeypatch.setattr(_core, "slot_rows", spy)
     return seen
@@ -439,6 +439,17 @@ def test_projectors(bases):
         assert p_minus @ p_minus == p_minus
         assert (p_plus @ p_minus).is_zero()
         assert p_plus + p_minus == ident
+
+
+def test_projectors_are_built_once_per_basis(bases):
+    basis = bases[6]
+    first = projectors(basis)
+    assert all(x is y for x, y in zip(projectors(basis), first))
+    assert projectors.__wrapped__(basis) == first
+    # the unitarity check reads the cached pair and still passes
+    for u in (Fraction(1, 3), Fraction(-7, 5)):
+        report = relations.check_unitarity(6, u)
+        assert report.passed and "h+ = " in report.detail, report.detail
 
 
 def test_projectors_single_out_parities(bases):
@@ -622,6 +633,17 @@ def test_spinor_rep_is_cached_per_basis(bases):
     basis = bases[6]
     assert so_spinor_rep(basis) is so_spinor_rep(basis)
     assert so_spinor_rep(build_gamma(6)) is not so_spinor_rep(basis)
+
+
+def test_every_operation_drops_the_coupling_mark(bases):
+    # only quantum_L marks an operator as u 1 + K; any operator derived
+    # from it may not be that, so the RLL stream must embed it itself
+    basis, q = bases[4], so_defining_rep(4)
+    L = quantum_L(basis, Fraction(1, 2), q)
+    (entry, u) = L.coupling
+    assert entry is q._couplings[basis] and u == Fraction(1, 2)
+    derived = [L.scale(1), L + L, L - L, L @ L, -L, L.shifted(0), L.shifted(1)]
+    assert all(op.coupling is None for op in derived)
 
 
 def test_quantum_L_pure_generator_part(bases):
