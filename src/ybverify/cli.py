@@ -12,10 +12,15 @@ repeated runs with the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
+import itertools
 import json
 import random
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import relations
 from .clifford import build_gamma
@@ -40,102 +45,96 @@ def _quantum_rep(name: str, d: int):
 
 
 # ---------------------------------------------------------------------------
-# check registry: the parsed options of one ``check`` command line -> reports
+# check registry
 # ---------------------------------------------------------------------------
 
-def _run_named_check(args) -> list[CheckReport]:
-    check_id, d, u, v, seed, tol = args.id, args.d, args.u, args.v, args.seed, args.tol
-    norm, rep = _NORMS[args.norm], _REPS[args.rep]
-    budget = relations.budget_dim(args.budget_dim)
-    if args.points <= 0:
+class Check(NamedTuple):
+    exact: bool
+    reads: str  # the job options the check reads, space-separated
+    run: Callable  # (parsed options, budget dimension) -> reports
+
+
+def _lazy(name):
+    """The module ``ybverify.<name>``, imported when a float check first runs,
+    so that exact-only commands never load ``localyb`` or ``quadrature``."""
+    return importlib.import_module(f".{name}", __package__)
+
+
+def _sampled(a, check):
+    """``check(localyb, p)`` at ``a.points`` random triples p in each region
+    of the local YBE, drawn from ``a.seed``; each report records the seed."""
+    if a.points <= 0:
         # with 0 points a float check reports no line, which reads as a PASS
-        raise ValueError(f"points must be a positive integer, got {args.points}")
-
-    if args.perturb_k is not None and check_id != "ybe":
-        # a negative control that nothing reads would pass unperturbed
-        raise ValueError(f"perturb_k applies to the ybe check only, not to {check_id}")
-    if check_id == "ybe":
-        return [relations.check_ybe(d, u, v, norm, rep, budget, perturb_k=args.perturb_k)]
-    if check_id == "three_term":
-        if args.signs:
-            return [relations.check_three_term(d, u, v, args.signs, norm, rep, budget)]
-        return [relations.check_three_term(d, u, v, (a, b, c), norm, rep, budget)
-                for a in "+-" for b in "+-" for c in "+-"]
-    if check_id == "fundamental_ybe":
-        return [relations.check_fundamental_ybe(d, u, v, budget)]
-    if check_id == "rll_fundamental":
-        return [relations.check_rll_fundamental(d, u, v, norm, rep, budget)]
-    if check_id == "rll_quantum":
-        q = _quantum_rep(args.quantum, d)
-        return [relations.check_rll_quantum(d, u, v, q, args.quantum, norm, rep, budget)]
-    if check_id == "asym":
-        return [relations.check_asym(_quantum_rep(args.quantum, d), args.quantum)]
-    if check_id == "unitarity":
-        return [relations.check_unitarity(d, u, norm)]
-    if check_id == "symmetries":
-        return [relations.check_symmetries(d, u, norm, rep)]
-    if check_id == "epsilon_projector_limit":
-        return [relations.check_epsilon_projector_limit(d)]
-    if check_id == "d6_reduction":
-        return [relations.check_d6_reduction(u)]
-    if check_id == "exchange_identities":
-        return [relations.check_exchange_identities(d, budget)]
-    if check_id == "generating_product":
-        return [relations.check_generating_product(d, u, v)]
-    if check_id == "local_ybe":
-        basis = relations._basis(d)
-        if basis.dim ** 3 >= budget:
-            return [relations._skip("local_ybe", {"d": d, "seed": seed}, basis.dim ** 3,
-                                    budget, exact=False)]
-        from . import localyb
-
-        rng = random.Random(seed)
-        out = []
-        for region in localyb.all_regions():
-            for _ in range(args.points):
-                p = localyb.sample_triple(rng, region)
-                report = localyb.check_local_ybe(basis, p, tol or 1e-9)
-                report.params["seed"] = seed
-                out.append(report)
-        return out
-    if check_id == "integrand_symmetry":
-        from . import localyb
-
-        rng = random.Random(seed)
-        out = []
-        for region in localyb.all_regions():
-            for _ in range(args.points):
-                p = localyb.sample_triple(rng, region)
-                report = localyb.integrand_symmetry_check(
-                    d, float(u), float(v), 1.0, 2.0, 3.0, p, tol or 1e-8)
-                report.params["seed"] = seed
-                out.append(report)
-        return out
-    # localyb and quadrature are imported in the branches of the float
-    # checks, so exact-only commands never load them; every check below is
-    # a quadrature check
-    from . import quadrature
-
-    if check_id == "beta_integral":
-        return [quadrature.check_beta_integral(d, float(u), args.k, args.parity,
-                                               rel_tol=tol or 1e-8)]
-    if check_id == "rfun":
-        return [quadrature.check_rfun(d, float(u), args.y, rel_tol=tol or 1e-7)]
-    if check_id == "unitarity_integral":
-        return [quadrature.check_unitarity_integral(d, float(u), args.k, tol=tol)]
-    if check_id == "triple_integral":
-        return [quadrature.check_triple_integral(d, float(u), float(v), 0.3, 0.1, 0.7,
-                                                 rel_tol=tol or 1e-3)]
-    raise ValueError(f"unknown check {check_id!r}")
+        raise ValueError(f"points must be a positive integer, got {a.points}")
+    localyb, rng = _lazy("localyb"), random.Random(a.seed)
+    reports = [check(localyb, localyb.sample_triple(rng, region))
+               for region in localyb.all_regions() for _ in range(a.points)]
+    for report in reports:
+        report.params["seed"] = a.seed
+    return reports
 
 
-FLOAT_CHECK_IDS = ("local_ybe", "integrand_symmetry", "beta_integral", "rfun",
-                   "unitarity_integral", "triple_integral")
-CHECK_IDS = (
-    "ybe", "three_term", "fundamental_ybe", "rll_fundamental", "rll_quantum",
-    "asym", "unitarity", "symmetries", "epsilon_projector_limit",
-    "d6_reduction", "exchange_identities", "generating_product",
-) + FLOAT_CHECK_IDS
+def _local_ybe(a, budget):
+    basis = relations._basis(a.d)
+    # points <= 0 goes to _sampled, which rejects it where the budget skips too
+    if basis.dim ** 3 < budget or a.points <= 0:
+        return _sampled(a, lambda localyb, p: localyb.check_local_ybe(basis, p, a.tol or 1e-9))
+    return [relations._skip(a.id, {"d": a.d, "seed": a.seed}, basis.dim ** 3, budget,
+                            exact=False)]
+
+
+# each runner looks its check function up when it runs (never a stored
+# reference), so a tracer that swaps module attributes sees every call
+CHECKS = {
+    "ybe": Check(True, "d u v norm rep budget_dim perturb_k", lambda a, budget: [
+        relations.check_ybe(a.d, a.u, a.v, _NORMS[a.norm], _REPS[a.rep], budget,
+                            perturb_k=a.perturb_k)]),
+    "three_term": Check(True, "d u v signs norm rep budget_dim", lambda a, budget: [
+        relations.check_three_term(a.d, a.u, a.v, signs, _NORMS[a.norm], _REPS[a.rep], budget)
+        for signs in ([a.signs] if a.signs else itertools.product("+-", repeat=3))]),
+    "fundamental_ybe": Check(True, "d u v budget_dim", lambda a, budget: [
+        relations.check_fundamental_ybe(a.d, a.u, a.v, budget)]),
+    "rll_fundamental": Check(True, "d u v norm rep budget_dim", lambda a, budget: [
+        relations.check_rll_fundamental(a.d, a.u, a.v, _NORMS[a.norm], _REPS[a.rep], budget)]),
+    "rll_quantum": Check(True, "d u v quantum norm rep budget_dim", lambda a, budget: [
+        relations.check_rll_quantum(a.d, a.u, a.v, _quantum_rep(a.quantum, a.d), a.quantum,
+                                    _NORMS[a.norm], _REPS[a.rep], budget)]),
+    "asym": Check(True, "d quantum", lambda a, budget: [
+        relations.check_asym(_quantum_rep(a.quantum, a.d), a.quantum)]),
+    "unitarity": Check(True, "d u norm", lambda a, budget: [
+        relations.check_unitarity(a.d, a.u, _NORMS[a.norm])]),
+    "symmetries": Check(True, "d u norm rep", lambda a, budget: [
+        relations.check_symmetries(a.d, a.u, _NORMS[a.norm], _REPS[a.rep])]),
+    "epsilon_projector_limit": Check(True, "d", lambda a, budget: [
+        relations.check_epsilon_projector_limit(a.d)]),
+    "d6_reduction": Check(True, "u", lambda a, budget: [relations.check_d6_reduction(a.u)]),
+    "exchange_identities": Check(True, "d budget_dim", lambda a, budget: [
+        relations.check_exchange_identities(a.d, budget)]),
+    "generating_product": Check(True, "d u v", lambda a, budget: [
+        relations.check_generating_product(a.d, a.u, a.v)]),
+    "local_ybe": Check(False, "d seed points tol budget_dim", _local_ybe),
+    "integrand_symmetry": Check(False, "d u v seed points tol", lambda a, budget: _sampled(
+        a, lambda localyb, p: localyb.integrand_symmetry_check(
+            a.d, float(a.u), float(a.v), 1.0, 2.0, 3.0, p, a.tol or 1e-8))),
+    "beta_integral": Check(False, "d u k parity tol", lambda a, budget: [
+        _lazy("quadrature").check_beta_integral(a.d, float(a.u), a.k, a.parity,
+                                                rel_tol=a.tol or 1e-8)]),
+    "rfun": Check(False, "d u y tol", lambda a, budget: [
+        _lazy("quadrature").check_rfun(a.d, float(a.u), a.y, rel_tol=a.tol or 1e-7)]),
+    "unitarity_integral": Check(False, "d u k tol", lambda a, budget: [
+        _lazy("quadrature").check_unitarity_integral(a.d, float(a.u), a.k, tol=a.tol)]),
+    "triple_integral": Check(False, "d u v tol", lambda a, budget: [
+        _lazy("quadrature").check_triple_integral(a.d, float(a.u), float(a.v), 0.3, 0.1, 0.7,
+                                                  rel_tol=a.tol or 1e-3)]),
+}
+
+
+def _reject_unread(check_id, options):
+    """Reject the options set on a ``check`` line or in a job's params that the
+    check does not read: a negative control nothing reads would pass unperturbed."""
+    unread = sorted(set(options) - set(CHECKS[check_id].reads.split()))
+    if unread:
+        raise ValueError(f"the {check_id} check does not read {', '.join(unread)}")
 
 
 def default_suite(d_list) -> list[tuple[str, dict]]:
@@ -173,11 +172,12 @@ def _parse_jobs(jobs, base) -> list:
     command line ``id --key=value ...``, starting from a copy of the ``run``
     options ``base``: an option the job does not set keeps the value ``run``
     gave.  Returns (parsed options, params) pairs."""
-    parser = _job_parser()
-    keys = {option[2:].replace("-", "_") for option in parser._option_string_actions}
+    parser = argparse.ArgumentParser(prog="ybv check", add_help=False,
+                                     allow_abbrev=False, exit_on_error=False)
+    _add_job_options(parser, check=True)
     parsed = []
     for check_id, params in jobs:
-        unknown = sorted(set(params) - keys)
+        unknown = sorted(set(params) - JOB_DEFAULTS.keys())
         if unknown:
             raise ValueError(f"{check_id}: unknown params {', '.join(unknown)}")
         argv = [str(check_id), *(f"--{key.replace('_', '-')}={value}"
@@ -186,27 +186,22 @@ def _parse_jobs(jobs, base) -> list:
             args = parser.parse_args(argv, argparse.Namespace(**vars(base)))
         except argparse.ArgumentError as exc:
             raise ValueError(f"{check_id}: {exc}") from exc
+        _reject_unread(args.id, params)
         parsed.append((args, params))
     return parsed
-
-
-def _job_parser():
-    parser = argparse.ArgumentParser(prog="ybv check", add_help=False,
-                                     allow_abbrev=False, exit_on_error=False)
-    _add_job_options(parser, check=True)
-    return parser
 
 
 def _execute(args, params, errors=(PoleError, ArithmeticError)):
     """The reports of one job; an exception in ``errors`` (the job's point is
     a pole, or a value there is not finite) becomes a FAIL line with the
     job's ``params``."""
+    check = CHECKS[args.id]
     try:
-        return _run_named_check(args)
+        # resolving the budget validates YBV_BUDGET_DIM for every check
+        return check.run(args, relations.budget_dim(args.budget_dim))
     except errors as exc:
         return [CheckReport(args.id, {k: str(v) for k, v in params.items()},
-                            Status.FAIL, exact=args.id not in FLOAT_CHECK_IDS,
-                            detail=f"error: {exc}")]
+                            Status.FAIL, exact=check.exact, detail=f"error: {exc}")]
 
 
 def _emit(reports, args) -> int:
@@ -302,33 +297,36 @@ def _dump(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# each job option and its default, the value of an option set nowhere
+JOB_DEFAULTS = dict(d=4, u=Fraction(1, 2), v=Fraction(1, 3), norm="product", rep="primed",
+                    tol=None, seed=DEFAULT_SEED, budget_dim=None, signs=None,
+                    quantum="defining", k=0, parity="even", points=5, y=-1.0, perturb_k=None)
+
+
 def _add_job_options(parser, check=False):
     """The options of a check job.  ``run`` takes the common ones, whose
-    values its jobs inherit; ``check`` and each suite job take them all."""
-    parser.add_argument("--d", type=int, default=4, help="even dimension")
-    parser.add_argument("--u", type=_frac, default=Fraction(1, 2),
-                        help="spectral point, rational like 1/2")
-    parser.add_argument("--v", type=_frac, default=Fraction(1, 3))
-    parser.add_argument("--norm", choices=sorted(_NORMS), default="product")
-    parser.add_argument("--rep", choices=sorted(_REPS), default="primed")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--budget-dim", type=int, default=None,
-                        help="skip exact checks and local_ybe at or above this "
-                             "dimension (default 4096; env YBV_BUDGET_DIM)")
+    values its jobs inherit; ``check`` and each suite job take them all.  An
+    option not given stays out of the parsed namespace (see ``JOB_DEFAULTS``)."""
+    add = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    add("--d", type=int, help="even dimension")
+    add("--u", type=_frac, help="spectral point, rational like 1/2")
+    add("--v", type=_frac)
+    add("--norm", choices=sorted(_NORMS))
+    add("--rep", choices=sorted(_REPS))
+    add("--tol", type=float)
+    add("--seed", type=int)
+    add("--budget-dim", type=int, help="skip exact checks and local_ybe at or above "
+                                       "this dimension (default 4096; env YBV_BUDGET_DIM)")
     if not check:
         return
-    parser.add_argument("id", choices=CHECK_IDS)
-    parser.add_argument("--signs", default=None,
-                        help="three of +/- for the three-term family")
-    parser.add_argument("--quantum", choices=("defining", "spinor"),
-                        default="defining")
-    parser.add_argument("--k", type=int, default=0)
-    parser.add_argument("--parity", choices=("even", "odd"), default="even")
-    parser.add_argument("--points", type=int, default=5)
-    parser.add_argument("--y", type=float, default=-1.0)
-    parser.add_argument("--perturb-k", type=int, default=None,
-                        help="corrupt R_k by 1 (negative control)")
+    parser.add_argument("id", choices=CHECKS)
+    add("--signs", help="three of +/- for the three-term family")
+    add("--quantum", choices=("defining", "spinor"))
+    add("--k", type=int)
+    add("--parity", choices=("even", "odd"))
+    add("--points", type=int)
+    add("--y", type=float)
+    add("--perturb-k", type=int, help="corrupt R_k by 1 (negative control)")
 
 
 def build_parser():
@@ -365,12 +363,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "dump":
             return _dump(args)
+        given = JOB_DEFAULTS.keys() & vars(args).keys()
+        args = argparse.Namespace(**{**JOB_DEFAULTS, **vars(args)})
         if args.command == "check":
+            _reject_unread(args.id, given)
             # a pole of a single check is a configuration error; the params
             # of a FAIL line are the options set away from their defaults
-            defaults = vars(_job_parser().parse_args([args.id]))
-            params = {k: v for k, v in vars(args).items()
-                      if k in defaults and v != defaults[k]}
+            params = {k: v for k, v in vars(args).items() if v != JOB_DEFAULTS.get(k, v)}
             reports = _execute(args, params, ArithmeticError)
         else:
             if args.suite:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import ybverify
-from ybverify import integrate, relations
+from ybverify import cli, integrate, relations
 from ybverify.cli import console_main, main
+
+from test_repo import _load_spans
 
 
 def run_cli(args, capsys):
@@ -268,7 +271,7 @@ def test_perturb_k_on_a_check_that_ignores_it_is_config_error(tmp_path, capsys, 
     # unperturbed
     code, out, err = run_cli(["check", check_id, "--d", "4", "--perturb-k", "2"], capsys)
     assert (code, out) == (2, "")
-    assert err == f"ybv: error: perturb_k applies to the ybe check only, not to {check_id}\n"
+    assert err == f"ybv: error: the {check_id} check does not read perturb_k\n"
     job = {"check": check_id, "params": {"d": 4, "perturb_k": 2}}
     assert _run_suite(tmp_path, capsys, [job]) == (code, out, err)
 
@@ -344,17 +347,132 @@ SAME_AS_CHECK = [
 ]
 
 
+def _argv(check, params):
+    return ["check", check, *(arg for key, value in params.items()
+                              for arg in (f"--{key.replace('_', '-')}", str(value)))]
+
+
 @pytest.mark.parametrize("check,params", SAME_AS_CHECK)
 def test_suite_job_prints_what_check_prints(tmp_path, capsys, check, params):
-    argv = ["check", check]
-    for key, value in params.items():
-        argv += [f"--{key.replace('_', '-')}", str(value)]
-    code, out, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(_argv(check, params), capsys)
     assert out
     # the suite sorts the lines of a job that reports several
     want = code, sorted(out.splitlines())
     code, out, _ = _run_suite(tmp_path, capsys, [{"check": check, "params": params}])
     assert (code, sorted(out.splitlines())) == want
+
+
+# the job options each check reads, written out by hand rather than read back
+# from the registry in cli.py
+READS = {
+    "ybe": "d u v norm rep budget_dim perturb_k",
+    "three_term": "d u v signs norm rep budget_dim",
+    "fundamental_ybe": "d u v budget_dim",
+    "rll_fundamental": "d u v norm rep budget_dim",
+    "rll_quantum": "d u v quantum norm rep budget_dim",
+    "asym": "d quantum",
+    "unitarity": "d u norm",
+    "symmetries": "d u norm rep",
+    "epsilon_projector_limit": "d",
+    "d6_reduction": "u",
+    "exchange_identities": "d budget_dim",
+    "generating_product": "d u v",
+    "local_ybe": "d seed points tol budget_dim",
+    "integrand_symmetry": "d u v seed points tol",
+    "beta_integral": "d u k parity tol",
+    "rfun": "d u y tol",
+    "unitarity_integral": "d u k tol",
+    "triple_integral": "d u v tol",
+}
+# one value for each job option, valid for every check that reads it; d stays
+# at 4, where the two recorded FAILs below fail (at d=2 both pass)
+OPTION_VALUES = {"d": "4", "u": "2/3", "v": "1/5", "norm": "unit", "rep": "naive",
+                 "tol": "1e-3", "seed": "7", "budget_dim": "100000", "signs": "+-+",
+                 "quantum": "spinor", "k": "1", "parity": "odd", "points": "1",
+                 "y": "-0.5", "perturb_k": "1"}
+UNREAD = [(check, option) for check, reads in READS.items()
+          for option in OPTION_VALUES if option not in reads.split()]
+# triple_integral is slow
+READ = [(check, option) for check, reads in READS.items() if check != "triple_integral"
+        for option in reads.split()]
+# the recorded FAILs: the spinor asym verdict and the perturbed ybe control
+FAILS = {("asym", "quantum"), ("ybe", "perturb_k")}
+
+
+def test_every_check_and_job_option_has_a_row():
+    assert set(READS) == set(cli.CHECKS)
+    assert set(OPTION_VALUES) == set(cli.JOB_DEFAULTS)
+
+
+@pytest.mark.parametrize("check,option", UNREAD)
+def test_option_a_check_does_not_read_is_config_error(tmp_path, capsys, check, option):
+    # a value nothing reads used to be dropped, and the check passed without it
+    params = {option: OPTION_VALUES[option]}
+    got = run_cli(_argv(check, params), capsys)
+    assert got == (2, "", f"ybv: error: the {check} check does not read {option}\n")
+    assert _run_suite(tmp_path, capsys, [{"check": check, "params": params}]) == got
+
+
+@pytest.mark.parametrize("check,option", READ)
+def test_option_a_check_reads_is_accepted(tmp_path, capsys, check, option):
+    params = {key: OPTION_VALUES[key] for key in ("d", "points", option)
+              if key in READS[check].split()}
+    code, out, _ = run_cli(_argv(check, params), capsys)
+    assert code == (1 if (check, option) in FAILS else 0)
+    assert out
+    suite_code, suite_out, _ = _run_suite(tmp_path, capsys, [{"check": check, "params": params}])
+    assert (suite_code, sorted(suite_out.splitlines())) == (code, sorted(out.splitlines()))
+
+
+@pytest.mark.parametrize("check,params", [
+    ("epsilon_projector_limit", {"d": 4, "norm": "unit"}),
+    ("d6_reduction", {"d": 4}),
+    ("unitarity", {"d": 4, "v": "7", "k": 3, "seed": 3}),
+    ("asym", {"d": 4, "u": "3"}),
+    ("ybe", {"d": 4, "signs": "+--", "quantum": "spinor", "tol": 1e-30}),
+])
+def test_options_that_used_to_be_dropped_are_config_errors(tmp_path, capsys, check, params):
+    code, out, err = run_cli(_argv(check, params), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ybv: error: the {check} check does not read ")
+    assert _run_suite(tmp_path, capsys, [{"check": check, "params": params}]) == (code, out, err)
+
+
+def test_run_options_are_inherited_by_the_checks_that_read_them(capsys):
+    # run's options are defaults for its jobs, not options set on each check
+    code, out, _ = run_cli(["run", "--all", "--d-list", "2", "--norm", "unit",
+                            "--tol", "1e-6", "--seed", "3", "--budget-dim", "5000"], capsys)
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert {line["status"] for line in lines} == {"pass"}
+    assert {"epsilon_projector_limit", "local_ybe", "unitarity"} <= {p["check"] for p in lines}
+
+
+SPANS = _load_spans()
+# the float checks whose function perfbench does not wrap
+UNTRACED_FLOAT_CHECKS = {"integrand_symmetry": "localyb.integrand_symmetry_check",
+                         "triple_integral": "quadrature.check_triple_integral"}
+
+
+def test_registry_splits_exact_and_float_as_the_tracer_does():
+    exact = {check for check, entry in cli.CHECKS.items() if entry.exact}
+    assert exact == set(SPANS.CHECK_IDS)
+    assert set(cli.CHECKS) - exact == set(SPANS.FLOAT_CHECKS) | set(UNTRACED_FLOAT_CHECKS)
+
+
+@pytest.mark.parametrize("check,function", [
+    *((check, f"relations.check_{check}") for check in SPANS.CHECK_IDS),
+    *SPANS.FLOAT_CHECKS.items(), *UNTRACED_FLOAT_CHECKS.items()])
+def test_every_check_looks_up_its_function_when_it_runs(monkeypatch, check, function):
+    # the tracer swaps module attributes; a function stored at import time
+    # would escape it, and a traced suite would record no span for the check
+    def broken(*args, **kwargs):
+        raise TypeError("planted bug")
+
+    module, name = function.split(".")
+    monkeypatch.setattr(importlib.import_module(f"ybverify.{module}"), name, broken)
+    with pytest.raises(TypeError, match="planted bug"):
+        main(["check", check])
 
 
 @pytest.mark.parametrize("check", ["ybe", "rll_fundamental"])
