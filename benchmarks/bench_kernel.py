@@ -19,15 +19,17 @@ V (x) V (x) W, with W the defining representation (as it holds, and with
 R_2(u-v) perturbed by 1) and the spinor representation (its recorded FAIL
 at d=6):
 
-- ``orbit-reduced``: ``kernel.rll_first_row`` with the symmetry of the
-  quantum lifts: the certificate on R, L(u) and L(v), then one row per
-  orbit, stopping at the first nonzero row; L13 streams as u 1 + K13, with
-  K13 embedded at the first call and kept, so the best of ``--repeat``
-  runs times the cached path;
+- ``orbit-reduced``: ``kernel.rll_first_row`` from R, the coupling K of
+  L(x) = x 1 + K and the points, with the symmetry of the quantum lifts:
+  the certificates of R and K (skipped, as both carry their marks), then
+  one row per orbit, stopping at the first nonzero row; each L(x) streams
+  from K as den(x) K + num(x) den(K) 1, with K13 embedded at the first
+  call and cached by K's value, so the best of ``--repeat`` runs times the
+  cached path;
 - ``ordered stream``: ``kernel.rll_first_row`` without a symmetry, every
   row in order until the first nonzero one;
-- ``materialized``: the five embedded operators, four sparse products and
-  one subtraction.
+- ``materialized``: L(u) and L(v) from ``quantum_L``, the five embedded
+  operators, four sparse products and one subtraction: the oracle.
 
 All methods must agree on the verdict and the first residual entry, or the
 script exits non-zero.  Times are the best of ``--repeat`` runs, labelled
@@ -159,12 +161,13 @@ def bench_rll(d, repeat):
         print(f"d={d}: RLL residual, {quantum} W, on dimension {n * n * m}, "
               f"{len(symmetry.rows)} orbits ({symmetry_ms:.1f} ms to build), "
               f"best of {repeat}")
-        methods = (("orbit-reduced", lambda R, Lu, Lv: rll_first_row(R, Lu, Lv, n, m, symmetry)),
-                   ("ordered stream", lambda R, Lu, Lv: rll_first_row(R, Lu, Lv, n, m)),
-                   ("materialized", lambda R, Lu, Lv: materialized(R, Lu, Lv, n, m)))
+        methods = (("orbit-reduced",
+                    lambda R, K, Lu, Lv: rll_first_row(R, K, U, V, n, m, symmetry)),
+                   ("ordered stream", lambda R, K, Lu, Lv: rll_first_row(R, K, U, V, n, m)),
+                   ("materialized", lambda R, K, Lu, Lv: materialized(R, Lu, Lv, n, m)))
         for case, perturb_k in cases:
-            ops = [spinor_R(basis, U - V, perturb_k), quantum_L(basis, U, q),
-                   quantum_L(basis, V, q)]
+            ops = [spinor_R(basis, U - V, perturb_k),
+                   *(quantum_L(basis, x, q) for x in (0, U, V))]
             verdict, first, ms = compare(case, methods, ops, repeat)
             results.append({"d": d, "quantum": quantum, "case": case, "rows": n * n * m,
                             "orbits": len(symmetry.rows), "symmetry_ms": symmetry_ms,

@@ -82,6 +82,23 @@ def scale_grid(rows, gre, gim):
     return out
 
 
+def shifted_grid(rows, dim, scale, shift):
+    """scale*A + shift*1 for a dim x dim grid A and integers scale > 0 and
+    shift, cancelled diagonal entries dropped; A itself for (1, 0), as no
+    grid is ever changed in place."""
+    if (scale, shift) == (1, 0):
+        return rows
+    out = scale_grid(rows, scale, 0)
+    for i in range(dim) if shift else ():
+        row = out.setdefault(i, {})
+        re, im = row.pop(i, (0, 0))
+        if re + shift or im:
+            row[i] = (re + shift, im)
+        elif not row:
+            del out[i]
+    return out
+
+
 def combine_grids(terms):
     """Sum of (gre + i*gim) * A over the (grid, gre, gim) triples in
     ``terms``, accumulated in one grid."""

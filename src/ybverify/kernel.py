@@ -12,6 +12,7 @@ The grid kernels live in ``_core``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, hypot, lcm, prod
 
 from . import _core as _k
@@ -89,12 +90,6 @@ class ExactScalar:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __abs__(self) -> float:
-        return abs(self.to_complex())
-
     def __str__(self):
         if not self.im:
             return str(self.re)
@@ -133,12 +128,10 @@ class SparseOperator:
     Only ``PatternTable.combination`` sets it, on a combination of a family
     that passed its certificate, and ``rmatrix.quantum_L``, on u 1 + K for a
     certified K; every other constructor and operation leaves it None, and
-    ``==`` and ``hash`` ignore it.  ``coupling``, set by
-    ``rmatrix.quantum_L`` alone and dropped as ``certified_lifts`` is, is
-    (entry, u) on u 1 + K, for its coupling entry (K, lifts mark, {dims: K13}).
+    ``==`` and ``hash`` ignore it.
     """
 
-    __slots__ = ("dim", "_rows", "_den", "certified_lifts", "coupling")
+    __slots__ = ("dim", "_rows", "_den", "certified_lifts")
 
     def __init__(self, dim: int, rows=None, den: int = 1, _normalized=False):
         if dim <= 0:
@@ -148,7 +141,7 @@ class SparseOperator:
         self.dim = dim
         self._rows = rows or {}
         self._den = den
-        self.certified_lifts = self.coupling = None
+        self.certified_lifts = None
         if not _normalized:
             self._normalize()
 
@@ -224,15 +217,6 @@ class SparseOperator:
         c = min(self._rows[r])
         return (r, c), self.entry(r, c)
 
-    def trace(self) -> ExactScalar:
-        tr_re = tr_im = 0
-        for r, row in self._rows.items():
-            v = row.get(r)
-            if v is not None:
-                tr_re += v[0]
-                tr_im += v[1]
-        return ExactScalar(Fraction(tr_re, self._den), Fraction(tr_im, self._den))
-
     def submatrix(self, rows, cols) -> "SparseOperator":
         """Square submatrix picked by equal-length row/col index lists."""
         if len(rows) != len(cols):
@@ -303,15 +287,8 @@ class SparseOperator:
         means lowest terms."""
         u = Fraction(u)
         den = lcm(u.denominator, self._den)
-        shift = u.numerator * (den // u.denominator)
-        rows = _k.scale_grid(self._rows, den // self._den, 0)
-        for i in range(self.dim) if shift else ():
-            row = rows.setdefault(i, {})
-            re, im = row.pop(i, (0, 0))
-            if re + shift or im:
-                row[i] = (re + shift, im)
-            elif not row:
-                del rows[i]
+        rows = _k.shifted_grid(self._rows, self.dim, den // self._den,
+                               u.numerator * (den // u.denominator))
         return SparseOperator(self.dim, rows, den,
                               _normalized=gcd(u.denominator, self._den) == 1)
 
@@ -659,51 +636,53 @@ def _yb_sides(lhs, rhs):
         [(zip(rhs, (right, left, right)), -1)] if rhs is not None else [])
 
 
-def rll_first_row(R: SparseOperator, Lu: SparseOperator, Lv: SparseOperator,
-                  n: int, m: int, symmetry: RowSymmetry | None = None) -> SparseOperator:
-    """The first nonzero row of R12 Lu13 Lv23 - Lv13 Lu23 R12 on
-    V (x) V (x) W, for R on V (x) V and Lu, Lv on V (x) W with dim V = n and
-    dim W = m: the residual of the RLL relation, returned as
-    ``yb_first_row`` returns its residual.
+def rll_first_row(R: SparseOperator, K: SparseOperator, u, v, n: int, m: int,
+                  symmetry: RowSymmetry | None = None) -> SparseOperator:
+    """The first nonzero row of R12 L13(u) L23(v) - L13(v) L23(u) R12 on
+    V (x) V (x) W, with L(x) = x 1 + K, for R on V (x) V, K on V (x) W
+    (dim V = n, dim W = m) and rational u, v: the residual of the RLL
+    relation, returned as ``yb_first_row`` returns its residual.
 
-    Rows stream as in ``yb_first_row``: R12 and the L23 apply by index
-    arithmetic, and each L13 as scale X + shift 1 (``_slot13``).  If
-    ``symmetry``, on (V, V, W) with one set of lifts on both V slots,
-    certifies R on slots (0, 1) and Lu, Lv on slots (0, 2), only its orbit
-    minima stream; otherwise every row streams in order.  An R whose
-    ``certified_lifts`` mark names the V lifts, and an L whose mark names
-    the (V, W) lifts, skip their certificates; every other operand is
-    certified here."""
-    if R.dim != n * n or Lu.dim != n * m or Lv.dim != n * m:
-        raise ValueError(f"operator dims {R.dim}, {Lu.dim}, {Lv.dim} are not "
-                         f"{n}*{n}, {n}*{m}, {n}*{m}")
+    Rows stream as in ``yb_first_row``.  Each L(x) streams from K at both
+    of its slots as den(x) K + num(x) den(K) 1 over den(x) den(K): R12 and
+    L23 apply by index arithmetic, L23 as that grid, built per call, and
+    L13 as a scaled and shifted K13, embedded once per value of K and dims
+    (``_embedded13``).  Both sides are then over
+    den(R) den(u) den(v) den(K)^2.  If ``symmetry``, on (V, V, W) with one
+    set of lifts on both V slots, certifies R on slots (0, 1) and K on
+    slots (0, 2), only its orbit minima stream (x 1 commutes with every
+    lift, so each L(x) is then invariant); otherwise every row streams in
+    order.  An R whose ``certified_lifts`` mark names the V lifts, and a K
+    whose mark names the (V, W) lifts, skip their certificates; every
+    other operand is certified here."""
+    if R.dim != n * n or K.dim != n * m:
+        raise ValueError(f"operator dims {R.dim}, {K.dim} are not {n}*{n}, {n}*{m}")
     dims = (n, n, m)
     rows = range(n * n * m)
     if symmetry is not None:
         symmetry._require(dims, (0, 1))
         vw = (symmetry.lifts[0], symmetry.lifts[2])
         if (symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (R,)))
-                and symmetry.certifies((0, 2), *_uncertified(vw, (Lu, Lv)))):
+                and symmetry.certifies((0, 2), *_uncertified(vw, (K,)))):
             rows = symmetry.rows
-    (u13, uden), (v13, vden) = _slot13(Lu, dims), _slot13(Lv, dims)
-    # a side is over den(R) den(L13) den(L23), and a marked L13 is not over
-    # den(L); the weights bring both sides to the lcm
-    lden, rden = uden * Lv._den, vden * Lu._den
-    den = lcm(lden, rden)
-    lhs = ((R._rows, (0, 1)), u13, (Lv._rows, (1, 2)))
-    rhs = (v13, (Lu._rows, (1, 2)), (R._rows, (0, 1)))
-    stream = _k.slot_rows(((lhs, den // lden), (rhs, -(den // rden))), dims, rows)
-    return _first_row(stream, n * n * m, R._den * den)
+    u, v = Fraction(u), Fraction(v)
+    K13 = _embedded13(K, dims)
+
+    def L13(x):
+        return K13, (0, 1, 2), x.denominator, x.numerator * K._den
+
+    def L23(x):
+        return _k.shifted_grid(K._rows, K.dim, x.denominator, x.numerator * K._den), (1, 2)
+
+    R12 = (R._rows, (0, 1))
+    stream = _k.slot_rows((((R12, L13(u), L23(v)), 1), ((L13(v), L23(u), R12), -1)),
+                          dims, rows)
+    return _first_row(stream, n * n * m,
+                      R._den * u.denominator * v.denominator * K._den ** 2)
 
 
-def _slot13(L: SparseOperator, dims):
-    """(factor, den): L on slots (0, 2) of dims as a ``_core.slot_rows``
-    factor over den.  An L marked u 1 + K is den(u) K13 + num(u) den(K) 1
-    over den(u) den(K), with K13 embedded once per coupling entry and dims;
-    any other L is embedded here."""
-    if L.coupling is None:
-        return (embed_pair(L, (0, 2), dims)._rows, (0, 1, 2)), L._den
-    (K, _, embedded), u = L.coupling
-    if dims not in embedded:
-        embedded[dims] = embed_pair(K, (0, 2), dims)._rows
-    return (embedded[dims], (0, 1, 2), u.denominator, u.numerator * K._den), u.denominator * K._den
+@lru_cache(maxsize=16)
+def _embedded13(K: SparseOperator, dims) -> dict:
+    """The grid of K on slots (0, 2) of dims, embedded once per value of K
+    and dims: the cache compares operators by ``==``."""
+    return embed_pair(K, (0, 2), dims)._rows

@@ -156,6 +156,9 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
     if perturb_k is not None:
         # a bad k is a configuration error even where the check would skip
         require_perturb_k(d, perturb_k)
+        if (d, perturb_k) == (2, 1):
+            raise ValueError("perturb_k=1 cannot fail at d=2: the d=2 Yang-Baxter "
+                             "relation holds for any R_1")
         params["perturb_k"] = perturb_k
     n = basis.dim
     cap = budget_dim(budget)
@@ -226,9 +229,10 @@ def check_fundamental_ybe(d, u, v, budget=None) -> CheckReport:
 
 def _check_rll(check_id, params, d, u, v, L, q, norm, rep, budget) -> CheckReport:
     """R12(u-v) L13(u) L23(v) = L13(v) L23(u) R12(u-v) on (spinor, spinor,
-    quantum), where ``L(basis, x)`` builds the L-operator on
-    (spinor (x) quantum) for the quantum representation q.  With lifts on
-    the quantum space, one row per orbit of the Weyl lifts streams."""
+    quantum), where ``L(basis, x)`` builds the L-operator x 1 + K on
+    (spinor (x) quantum) for the quantum representation q; the stream takes
+    K = L(basis, 0) and the points.  With lifts on the quantum space, one
+    row per orbit of the Weyl lifts streams."""
     basis = _basis(d)
     n = basis.dim
     cap = budget_dim(budget)
@@ -236,8 +240,7 @@ def _check_rll(check_id, params, d, u, v, L, q, norm, rep, budget) -> CheckRepor
         return _skip(check_id, params, n * n * q.m, cap)
     with _Timer() as t:
         R = _spinor_R(d, u - v, norm, rep)
-        Lu, Lv = L(basis, u), L(basis, v)
-        diff = rll_first_row(R, Lu, Lv, n, q.m, basis.row_symmetry(q))
+        diff = rll_first_row(R, L(basis, 0), u, v, n, q.m, basis.row_symmetry(q))
     return _exact_report(check_id, params, [("RLL", diff)], t,
                          convention="spectral placement u-v")
 
@@ -272,20 +275,17 @@ def check_asym(q: QuantumRep, quantum_name="custom") -> CheckReport:
     T'({M_[ab, M_c]d}) = 0 over all index choices, a sufficient condition for
     the quantum RLL relation.  Vacuous for d = 2 (no three distinct indices)."""
     params = {"d": q.d, "m": q.m, "quantum": quantum_name}
-    perms = (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
-             ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1))
     with _Timer() as t:
         for a in range(1, q.d + 1):
             for b in range(a + 1, q.d + 1):
                 for c in range(b + 1, q.d + 1):
-                    trip = (a, b, c)
                     for dd in range(1, q.d + 1):
+                        # M_ba = -M_ab pairs the six signed permutations of
+                        # (a, b, c): 2({M_ab,M_cd} + {M_bc,M_ad} + {M_ca,M_bd})
                         acc = SparseOperator.zero(q.m)
-                        for order, sgn in perms:
-                            x, y, z = (trip[i] for i in order)
-                            anti = q.gen(x, y) @ q.gen(z, dd) + q.gen(z, dd) @ q.gen(x, y)
-                            acc = acc + anti if sgn == 1 else acc - anti
-                        loc = acc.first_nonzero()
+                        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                            acc = acc + q.gen(x, y) @ q.gen(z, dd) + q.gen(z, dd) @ q.gen(x, y)
+                        loc = acc.scale(2).first_nonzero()
                         if loc is not None:
                             (r, cc), value = loc
                             return CheckReport(

@@ -294,7 +294,7 @@ class QuantumRep:
         self.m = m
         self._gens = gens  # {(a, b): op} for a < b, 1-based
         self.lifts = None if lifts is None else tuple(lifts)
-        self._couplings = {}  # (K, mark, {dims: K13}) of quantum_L, by basis
+        self._couplings = {}  # (K, mark) of quantum_L, by basis
 
     def gen(self, a: int, b: int) -> SparseOperator:
         if not (1 <= a <= self.d and 1 <= b <= self.d):
@@ -368,9 +368,8 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
     kept on q, so two representations never share one, whatever their
     values.  K is certified once there against ``basis.row_symmetry(q)``,
     and since u 1 commutes with every lift, each L of an invariant K
-    carries the (V, W) lifts as its ``certified_lifts`` mark.  Its
-    ``coupling`` mark (entry, u) lets ``kernel.rll_first_row`` embed K, not
-    L, on slots (0, 2), at the first RLL use, and keep K13 in the entry."""
+    carries the (V, W) lifts as its ``certified_lifts`` mark; so does
+    L(0) = K, which ``kernel.rll_first_row`` takes."""
     if q.d != basis.d:
         raise ValueError(f"quantum rep is for d={q.d}, basis for d={basis.d}")
     dim = basis.dim * q.m
@@ -384,7 +383,7 @@ def quantum_L(basis: GammaBasis, u, q: QuantumRep) -> SparseOperator:
         mark = None
         if symmetry is not None and symmetry.certifies((0, 2), coupling):
             mark = (symmetry.lifts[0], symmetry.lifts[2])
-        entry = q._couplings[basis] = (coupling, mark, {})
+        entry = q._couplings[basis] = (coupling, mark)
     L = entry[0].shifted(u)
-    L.certified_lifts, L.coupling = entry[1], (entry, Fraction(u))
+    L.certified_lifts = entry[1]
     return L

@@ -131,11 +131,21 @@ def brute_as_exponential(gens, i, j, t):
     return acc
 
 
+def to_complex(x):
+    """The ExactScalar x as a complex float."""
+    return complex(x.re) + 1j * complex(x.im)
+
+
+def trace(op):
+    """The exact sum of the diagonal entries of op."""
+    return sum((op.entry(i, i) for i in range(op.dim)), ExactScalar(0))
+
+
 def to_complex_array(op):
     """The operator as a dense complex array."""
     out = np.zeros((op.dim, op.dim), dtype=complex)
     for (r, c), v in op.items():
-        out[r, c] = v.to_complex()
+        out[r, c] = to_complex(v)
     return out
 
 

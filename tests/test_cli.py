@@ -265,6 +265,21 @@ def test_perturb_k_range_is_checked_before_the_budget(tmp_path, capsys, d):
     assert code == 0 and json.loads(out)["status"] == "skipped"
 
 
+def test_perturb_k_that_cannot_fail_is_config_error(tmp_path, capsys):
+    # the d=2 Yang-Baxter relation holds for any R_1, so this control used
+    # to PASS and exit 0
+    want = (2, "", "ybv: error: perturb_k=1 cannot fail at d=2: the d=2 Yang-Baxter "
+                   "relation holds for any R_1\n")
+    for argv in (["--d", "2", "--perturb-k", "1"],
+                 ["--d", "2", "--perturb-k", "1", "--budget-dim", "1"]):
+        assert run_cli(["check", "ybe", *argv], capsys) == want
+    job = {"check": "ybe", "params": {"d": 2, "perturb_k": 1}}
+    assert _run_suite(tmp_path, capsys, [job]) == want
+    code, out, _ = run_cli(["check", "ybe", "--d", "2", "--perturb-k", "2"], capsys)
+    assert code == 1
+    assert json.loads(out)["detail"] == "YBE: first residual -1/2 at entry (2,1)"
+
+
 @pytest.mark.parametrize("check_id", ["rll_quantum", "three_term", "unitarity", "local_ybe"])
 def test_perturb_k_on_a_check_that_ignores_it_is_config_error(tmp_path, capsys, check_id):
     # only ybe perturbs R_k; elsewhere the negative control used to pass

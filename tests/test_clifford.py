@@ -10,7 +10,7 @@ from ybverify.kernel import ExactScalar, SparseOperator, kron
 
 from helpers import (brute_antisym, brute_as_exp_components, brute_as_exponential,
                      brute_graded_generators, gamma5_pair_reflection,
-                     subset_pair_contraction, subset_products)
+                     subset_pair_contraction, subset_products, trace)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_d2_matrices_are_paulis(bases):
 
 def test_d6_gamma5_traceless(bases):
     g5 = bases[6].gamma5
-    assert g5.trace() == ExactScalar(0)
+    assert trace(g5) == ExactScalar(0)
 
 
 def test_build_gamma_rejects_bad_d():

@@ -12,7 +12,7 @@ from ybverify.rmatrix import (Normalization, RepChoice, quantum_L, so_defining_r
                               so_spinor_rep)
 
 from helpers import (dense_kron, dense_mul, parse_scalar, rand_operator, rll_sides,
-                     streamed_rll, streamed_yb, yb_sides)
+                     streamed_rll, streamed_yb, trace, yb_sides)
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 scalars = st.builds(ExactScalar, fractions, fractions)
@@ -179,7 +179,7 @@ def test_scale_and_entry():
 
 def test_trace_and_first_nonzero():
     a = SparseOperator.from_entries(3, {(1, 1): Fraction(2, 3), (2, 0): 5})
-    assert a.trace() == ExactScalar(Fraction(2, 3))
+    assert trace(a) == ExactScalar(Fraction(2, 3))
     assert a.first_nonzero() == ((1, 1), ExactScalar(Fraction(2, 3)))
     assert SparseOperator.zero(3).first_nonzero() is None
 
@@ -241,7 +241,8 @@ def test_yb_stream_matches_kron_chain(operands):
 
 @st.composite
 def rll_operands(draw):
-    """n, m, R on V (x) V and Lu, Lv on V (x) W with dim V = n, dim W = m."""
+    """n, m, R on V (x) V, K on V (x) W with dim V = n and dim W = m, and
+    the points u and v."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
 
     def operator(dim):
@@ -251,18 +252,17 @@ def rll_operands(draw):
                                 max_size=dim * dim)
         return SparseOperator.from_entries(dim, draw(cells))
 
-    return n, m, operator(n * n), operator(n * m), operator(n * m)
+    return n, m, operator(n * n), operator(n * m), draw(fractions), draw(fractions)
 
 
 @given(rll_operands())
 @settings(deadline=None)
 def test_rll_stream_matches_materialized_chain(operands):
-    n, m, R, Lu, Lv = operands
+    n, m, R, K, u, v = operands
+    Lu, Lv = K.shifted(u), K.shifted(v)
     lhs, rhs = rll_sides(R, Lu, Lv, n, m)
     assert streamed_rll(R, Lu, Lv, n, m) == lhs - rhs
-    first = rll_first_row(R, Lu, Lv, n, m)
-    assert first.is_zero() == (lhs - rhs).is_zero()
-    assert first.first_nonzero() == (lhs - rhs).first_nonzero()
+    assert rll_first_row(R, K, u, v, n, m) == _first_row_of(lhs - rhs)
 
 
 SLOT_TAGS = ((0, 1), (1, 2), (0, 1, 2))
@@ -369,40 +369,58 @@ _RLL_POINTS = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(7, 4), Fraction(-2, 3
                (Fraction(1234567891, 987654323), Fraction(-9876543211, 123456791))]
 
 
-def test_marked_L_embeds_its_coupling_once_per_dims(monkeypatch):
-    # R12 and the L23 apply by index arithmetic, and L13 = u 1 + K13 with
-    # K13 embedded at the first use of a fresh rep and kept by its entry
-    basis, q = relations._basis(4), so_defining_rep.__wrapped__(4)
+def test_K13_is_embedded_once_per_value_and_dims(monkeypatch):
+    # R12 and K23 apply by index arithmetic, and K13 is embedded at the
+    # first use of K's value on its dims, whichever rep or point it comes with
+    kernel._embedded13.cache_clear()
+    basis = relations._basis(4)
     calls = _embed_spy(monkeypatch)
     for u, v in _RLL_POINTS:
         R = relations._spinor_R(4, u - v, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
-        Lu, Lv = quantum_L(basis, u, q), quantum_L(basis, v, q)
-        assert rll_first_row(R, Lu, Lv, 4, 4, basis.row_symmetry(q)).is_zero()
-    (K, _, embedded), = q._couplings.values()
+        K = quantum_L(basis, 0, so_defining_rep.__wrapped__(4))
+        assert rll_first_row(R, K, u, v, 4, 4).is_zero()
     assert calls == [(K, (0, 2), (4, 4, 4))]
-    assert list(embedded) == [(4, 4, 4)]
+    # another value of K, or the same K on other dims, is embedded once more
+    spinor = quantum_L(basis, 0, so_spinor_rep(basis))
+    for _ in range(2):
+        rll_first_row(R, spinor, 1, 2, 4, 4)
+        rll_first_row(SparseOperator.identity(64), K, 1, 2, 8, 2)
+    assert calls[1:] == [(spinor, (0, 2), (4, 4, 4)), (K, (0, 2), (8, 8, 2))]
 
 
 def test_rll_fundamental_and_quantum_share_one_embedding(monkeypatch):
-    q = so_defining_rep(4)
-    monkeypatch.setattr(q, "_couplings", {})
+    # fresh defining reps, both RLL checks and every point share one K13
+    kernel._embedded13.cache_clear()
     calls = _embed_spy(monkeypatch)
-    assert relations.check_rll_fundamental(4, Fraction(1, 2), Fraction(1, 3)).passed
-    assert relations.check_rll_quantum(4, Fraction(5, 2), Fraction(1, 3), q, "defining").passed
+    for u, v in _RLL_POINTS:
+        assert relations.check_rll_fundamental(4, u, v).passed
+        q = so_defining_rep.__wrapped__(4)
+        assert relations.check_rll_quantum(4, u, v, q, "defining").passed
     assert len(calls) == 1
 
 
-def test_unmarked_L_is_embedded_on_every_call(monkeypatch):
-    # an L built by any operation carries no coupling mark, so its L13 is
-    # its own embedding, built per call
+def test_unmarked_K_is_certified_on_every_call(monkeypatch):
+    # an operator built by any operation carries no mark, so the stream
+    # certifies it on every call, while a marked K is never certified
     basis, q = relations._basis(4), so_defining_rep(4)
+    symmetry = basis.row_symmetry(q)
     R = relations._spinor_R(4, Fraction(1, 6), Normalization.PRODUCT_FORM, RepChoice.PRIMED)
-    Lu, Lv = (quantum_L(basis, x, q).scale(1) for x in (Fraction(1, 2), Fraction(1, 3)))
-    assert Lu.coupling is None and Lv.coupling is None
-    calls = _embed_spy(monkeypatch)
-    for _ in range(2):
-        assert rll_first_row(R, Lu, Lv, 4, 4, basis.row_symmetry(q)).is_zero()
-    assert calls == [(L, (0, 2), (4, 4, 4)) for L in (Lu, Lv, Lu, Lv)]
+    marked = quantum_L(basis, 0, q)
+    unmarked = marked.scale(1)
+    assert marked.certified_lifts == (basis.weyl_lifts(), q.lifts)
+    assert unmarked.certified_lifts is None and unmarked == marked
+    certified = []
+    certifies = RowSymmetry.certifies
+
+    def spy(self, slots, *ops):
+        certified.extend((slots, op) for op in ops)
+        return certifies(self, slots, *ops)
+
+    monkeypatch.setattr(RowSymmetry, "certifies", spy)
+    for K in (unmarked, marked, unmarked):
+        assert rll_first_row(R, K, Fraction(1, 2), Fraction(1, 3), 4, 4, symmetry).is_zero()
+    on_k = [op for slots, op in certified if slots == (0, 2)]
+    assert len(on_k) == 2 and all(op is unmarked for op in on_k)
 
 
 def _first_row_of(op):
@@ -416,27 +434,31 @@ def _first_row_of(op):
 @pytest.mark.parametrize("d", [4, 6])
 @pytest.mark.parametrize("u,v", _RLL_POINTS)
 def test_rll_first_row_is_the_materialized_first_row(d, u, v):
+    # the spinor rep FAILs at d = 6, and its K has den 4, so the located
+    # value pins the denominator den(R) den(u) den(v) den(K)^2
     basis = relations._basis(d)
     for q in (so_defining_rep(d), so_spinor_rep(basis)):
         R = relations._spinor_R(d, u - v, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
-        Lu, Lv = quantum_L(basis, u, q), quantum_L(basis, v, q)
-        lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
+        K = quantum_L(basis, 0, q)
+        lhs, rhs = rll_sides(R, quantum_L(basis, u, q), quantum_L(basis, v, q), basis.dim, q.m)
         want = _first_row_of(lhs - rhs)
-        assert rll_first_row(R, Lu, Lv, basis.dim, q.m, basis.row_symmetry(q)) == want
-        assert rll_first_row(R, Lu, Lv, basis.dim, q.m) == want
+        assert rll_first_row(R, K, u, v, basis.dim, q.m, basis.row_symmetry(q)) == want
+        assert rll_first_row(R, K, u, v, basis.dim, q.m) == want
 
 
 def test_rll_first_row_dimension_mismatch():
     a, b = SparseOperator.identity(4), SparseOperator.identity(6)
     with pytest.raises(ValueError):
-        rll_first_row(a, b, a, 2, 3)
+        rll_first_row(a, a, 1, 2, 2, 3)
     with pytest.raises(ValueError):
-        rll_first_row(a, b, b, 2, 3, RowSymmetry(((),) * 3, (2, 2, 2)))
+        rll_first_row(b, b, 1, 2, 2, 3)
+    with pytest.raises(ValueError):
+        rll_first_row(a, b, 1, 2, 2, 3, RowSymmetry(((),) * 3, (2, 2, 2)))
     # both V slots must carry the same lifts
     swap, ident = _SWAP, SparseOperator.identity(2)
     sym = RowSymmetry([[swap], [ident], [SparseOperator.identity(3)]], (2, 2, 3))
     with pytest.raises(ValueError):
-        rll_first_row(a, b, b, 2, 3, sym)
+        rll_first_row(a, b, 1, 2, 2, 3, sym)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), scalars), max_size=5))

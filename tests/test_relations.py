@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -211,6 +212,30 @@ def test_asym_spinor_fails():
         report = rel.check_asym(so_spinor_rep(rel._basis(d)), "spinor")
         assert report.status is rel.Status.FAIL
         assert "nonzero antisymmetrization" in report.detail
+
+
+def _six_permutation_sum(q, a, b, c, dd):
+    """sum over the permutations (x, y, z) of (a, b, c), with their signs,
+    of {M_xy, M_zd}: the antisymmetrization as the condition states it."""
+    acc = SparseOperator.zero(q.m)
+    for (x, y, z), sign in (((a, b, c), 1), ((a, c, b), -1), ((b, a, c), -1),
+                            ((b, c, a), 1), ((c, a, b), 1), ((c, b, a), -1)):
+        anti = q.gen(x, y) @ q.gen(z, dd) + q.gen(z, dd) @ q.gen(x, y)
+        acc = acc + anti.scale(sign)
+    return acc
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_asym_three_terms_are_the_six_signed_permutations(d):
+    # M_ba = -M_ab pairs the six terms: the check sums three and doubles
+    for q in (so_defining_rep(d), so_spinor_rep(rel._basis(d))):
+        for a, b, c in ((a, b, c) for a in range(1, d + 1) for b in range(a + 1, d + 1)
+                        for c in range(b + 1, d + 1)):
+            for dd in range(1, d + 1):
+                three = sum((q.gen(x, y) @ q.gen(z, dd) + q.gen(z, dd) @ q.gen(x, y)
+                             for x, y, z in ((a, b, c), (b, c, a), (c, a, b))),
+                            SparseOperator.zero(q.m)).scale(2)
+                assert three == _six_permutation_sum(q, a, b, c, dd), (q, a, b, c, dd)
 
 
 def test_asym_sufficiency_for_rll():
@@ -506,6 +531,44 @@ def test_perturbed_ybe_keeps_full_stream_detail(d):
         assert report.detail == f"YBE: first residual {PERTURBED_YBE[d][k]}", (d, k)
 
 
+# at d = 2 the perturbed R_0 and R_2 FAIL; a perturbed R_1 cannot
+PERTURBED_YBE_D2 = {0: "-1/2 at entry (2,1)", 2: "-1/2 at entry (2,1)"}
+
+
+def test_perturbed_ybe_at_d2():
+    for k, want in PERTURBED_YBE_D2.items():
+        report = rel.check_ybe(2, U, V, perturb_k=k)
+        assert report.detail == _ybe_detail(*_spinor_triple(2, perturb_k=k), 2)
+        assert report.detail == f"YBE: first residual {want}", k
+    with pytest.raises(ValueError, match="perturb_k=1 cannot fail at d=2"):
+        rel.check_ybe(2, U, V, perturb_k=1)
+    # the skip budget is not consulted first
+    with pytest.raises(ValueError, match="perturb_k=1 cannot fail at d=2"):
+        rel.check_ybe(2, U, V, budget=1, perturb_k=1)
+    # the table itself still takes the perturbation
+    table = rmatrix.coefficients(2, U, Normalization.PRODUCT_FORM)
+    assert table.perturbed(1)[1] == table[1] + 1
+
+
+@pytest.mark.parametrize("rep", list(RepChoice))
+@pytest.mark.parametrize("norm", [Normalization.PRODUCT_FORM, Normalization.UNIT])
+def test_d2_yang_baxter_holds_for_any_R1(rep, norm):
+    # which is why perturb_k=1 is no negative control at d = 2: R_1 replaced
+    # by a random Gaussian rational in each of the three R's
+    rng = random.Random(f"{rep}-{norm}")
+    basis = rel._basis(2)
+    for _ in range(6):
+        ops = []
+        for x in (U, U + V, V):
+            table = rmatrix.coefficients(2, x, norm)
+            values = list(table.values)
+            values[1] = ExactScalar(Fraction(rng.randint(-50, 50), rng.randint(1, 20)),
+                                    Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
+            ops.append(rmatrix.assemble_spinor_R(
+                basis, rmatrix.CoefficientTable(2, table.u, norm, tuple(values)), rep))
+        assert yb_first_row(*ops, basis.dim).is_zero()
+
+
 def test_planted_polynomial_coefficient_fails_ybe(monkeypatch):
     # one offset of the cached d = 6 R_2 = -u^2 (u + 2)/8 shifted to
     # -u^2 (u + 3)/8: R_2(u) moves by -u^2/8, and the Yang-Baxter check
@@ -659,13 +722,15 @@ def test_rll_planted_entry_falls_back_to_ordered_stream(monkeypatch, name, d, op
 @pytest.mark.parametrize("name,d", [("defining", 4), ("defining", 6),
                                     ("spinor", 4), ("spinor", 6)])
 def test_marked_L_skips_its_certificate(monkeypatch, name, d):
-    # K is certified once, next to its cache entry; every L = u 1 + K then
-    # carries the (V, W) lifts and the RLL stream certifies neither L
+    # K is certified once, next to its cache entry; every L = u 1 + K,
+    # K = L(0) among them, then carries the (V, W) lifts, and the RLL
+    # stream certifies neither R nor K
     basis, q = rel._basis(d), _quantum(d, name)
     symmetry = basis.row_symmetry(q)
     R = rel._spinor_R(d, U - V, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
-    Lu, Lv = rmatrix.quantum_L(basis, U, q), rmatrix.quantum_L(basis, V, q)
-    assert Lu.certified_lifts == Lv.certified_lifts == (basis.weyl_lifts(), q.lifts)
+    K, Lu, Lv = (rmatrix.quantum_L(basis, x, q) for x in (0, U, V))
+    assert K.certified_lifts == Lu.certified_lifts == Lv.certified_lifts == (
+        basis.weyl_lifts(), q.lifts)
     certified = []
     certifies = RowSymmetry.certifies
 
@@ -674,7 +739,7 @@ def test_marked_L_skips_its_certificate(monkeypatch, name, d):
         return certifies(self, slots, *ops)
 
     monkeypatch.setattr(RowSymmetry, "certifies", spy)
-    got = rll_first_row(R, Lu, Lv, basis.dim, q.m, symmetry)
+    got = rll_first_row(R, K, U, V, basis.dim, q.m, symmetry)
     assert certified == []
     lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
     assert got.first_nonzero() == (lhs - rhs).first_nonzero()
@@ -682,7 +747,7 @@ def test_marked_L_skips_its_certificate(monkeypatch, name, d):
 
 @pytest.mark.parametrize("name,d", [("defining", 4), ("defining", 6), ("spinor", 4)])
 def test_planted_non_invariant_coupling_streams_every_row(monkeypatch, name, d):
-    # an extra entry in M_12 leaves K non-invariant: its L is unmarked, the
+    # an extra entry in M_12 leaves K non-invariant: K is unmarked, the
     # stream certifies it, the certificate fails and every row streams, so
     # the check FAILs at the materialized chain's first residual
     basis, q = rel._basis(d), _quantum(d, name)
@@ -690,10 +755,10 @@ def test_planted_non_invariant_coupling_streams_every_row(monkeypatch, name, d):
     gens[(1, 2)] = gens[(1, 2)] + SparseOperator.from_entries(q.m, {(0, 0): 1})
     planted = rmatrix.QuantumRep(d, q.m, gens, q.lifts)
     R = rel._spinor_R(d, U - V, Normalization.PRODUCT_FORM, RepChoice.PRIMED)
-    Lu, Lv = rmatrix.quantum_L(basis, U, planted), rmatrix.quantum_L(basis, V, planted)
-    assert Lu.certified_lifts is None and Lv.certified_lifts is None
+    K, Lu, Lv = (rmatrix.quantum_L(basis, x, planted) for x in (0, U, V))
+    assert K.certified_lifts is None
     symmetry = basis.row_symmetry(planted)
-    assert not symmetry.certifies((0, 2), Lu)
+    assert not symmetry.certifies((0, 2), K)
     seen = []
     slot_rows = _core.slot_rows
 
@@ -704,7 +769,7 @@ def test_planted_non_invariant_coupling_streams_every_row(monkeypatch, name, d):
     monkeypatch.setattr(_core, "slot_rows", spy)
     lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
     (r, c), value = (lhs - rhs).first_nonzero()
-    assert rll_first_row(R, Lu, Lv, basis.dim, q.m, symmetry).first_nonzero() == ((r, c), value)
+    assert rll_first_row(R, K, U, V, basis.dim, q.m, symmetry).first_nonzero() == ((r, c), value)
     assert seen == [range(basis.dim ** 2 * q.m)]
     report = rel.check_rll_quantum(d, U, V, planted, name)
     assert report.detail == f"RLL: first residual {value} at entry ({r},{c})"
@@ -729,21 +794,19 @@ _small = st.fractions(-3, 3, max_denominator=4)
 
 @st.composite
 def rll_operands(draw):
-    """d, the quantum rep, and (R, Lu, Lv) with each L = x + c X, X = L(0)
-    the generator part, and R = sum_k c_k S_k: either random c_k, or those
-    of R((x_u - x_v)/c), for which the relation holds on the defining rep
-    (Lu, Lv are c L(x_u/c) and c L(x_v/c)).  Then optionally one operand
+    """d, the quantum rep, (R, K) and the points (x_u, x_v), with K = c X,
+    X = L(0) the generator part, and R = sum_k c_k S_k: either random c_k,
+    or those of R((x_u - x_v)/c), for which the relation holds on the
+    defining rep (L(x) = x + K is c L(x/c)).  Then optionally R or K
     shifted by an invariant term on the negative-chirality half of the
     first slot, which keeps the certificate and moves the first residual
-    row there, and one operand with an extra entry at a random place,
-    which breaks the certificate."""
+    row there, and R or K with an extra entry at a random place, which
+    breaks the certificate."""
     d = draw(st.sampled_from([4, 6]))
     q = _quantum(d, draw(st.sampled_from(["defining", "spinor"])))
     basis = rel._basis(d)
     xu, xv = draw(_small), draw(_small)
     c = draw(_small.filter(bool))
-    X = rmatrix.quantum_L(basis, 0, q)
-    ident = SparseOperator.identity(X.dim)
     if draw(st.booleans()):
         table = rmatrix.coefficients(d, (xu - xv) / c, Normalization.PRODUCT_FORM)
         coeffs = [-table[k] if (k * (k - 1) // 2) % 2 else table[k] for k in range(d + 1)]
@@ -752,27 +815,27 @@ def rll_operands(draw):
     comps = clifford.as_exp_components(basis)
     ops = [sum((comp.scale(ck) for comp, ck in zip(comps, coeffs)),
                SparseOperator.zero(basis.dim ** 2)),
-           ident.scale(xu) + X.scale(c), ident.scale(xv) + X.scale(c)]
+           rmatrix.quantum_L(basis, 0, q).scale(c)]
     _, minus = weyl_projectors(basis)
-    shifted = draw(st.sampled_from([None, 0, 1, 2]))
+    shifted = draw(st.sampled_from([None, 0, 1]))
     if shifted is not None:
         other = minus if shifted == 0 else SparseOperator.identity(q.m)
         ops[shifted] = ops[shifted] + kron(minus, other).scale(draw(_gauss))
-    planted = draw(st.sampled_from([None, 0, 1, 2]))
+    planted = draw(st.sampled_from([None, 0, 1]))
     if planted is not None:
         dim = ops[planted].dim
         cell = st.integers(0, dim - 1)
         ops[planted] = ops[planted] + SparseOperator.from_entries(
             dim, {(draw(cell), draw(cell)): draw(_gauss)})
-    return basis, q, ops
+    return basis, q, ops, (xu, xv)
 
 
 @given(rll_operands())
 @settings(deadline=None, max_examples=30)
 def test_orbit_reduced_rll_first_row_matches_materialized_chain(case):
-    basis, q, (R, Lu, Lv) = case
-    lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)
+    basis, q, (R, K), (u, v) = case
+    lhs, rhs = rll_sides(R, K.shifted(u), K.shifted(v), basis.dim, q.m)
     want = (lhs - rhs).first_nonzero()
     symmetry = basis.row_symmetry(q)
-    assert rll_first_row(R, Lu, Lv, basis.dim, q.m, symmetry).first_nonzero() == want
-    assert rll_first_row(R, Lu, Lv, basis.dim, q.m).first_nonzero() == want
+    assert rll_first_row(R, K, u, v, basis.dim, q.m, symmetry).first_nonzero() == want
+    assert rll_first_row(R, K, u, v, basis.dim, q.m).first_nonzero() == want

@@ -635,17 +635,6 @@ def test_spinor_rep_is_cached_per_basis(bases):
     assert so_spinor_rep(build_gamma(6)) is not so_spinor_rep(basis)
 
 
-def test_every_operation_drops_the_coupling_mark(bases):
-    # only quantum_L marks an operator as u 1 + K; any operator derived
-    # from it may not be that, so the RLL stream must embed it itself
-    basis, q = bases[4], so_defining_rep(4)
-    L = quantum_L(basis, Fraction(1, 2), q)
-    (entry, u) = L.coupling
-    assert entry is q._couplings[basis] and u == Fraction(1, 2)
-    derived = [L.scale(1), L + L, L - L, L @ L, -L, L.shifted(0), L.shifted(1)]
-    assert all(op.coupling is None for op in derived)
-
-
 def test_quantum_L_pure_generator_part(bases):
     basis = bases[2]
     q = so_defining_rep(2)
@@ -667,7 +656,7 @@ def test_weyl_projectors(bases):
         assert plus + minus == SparseOperator.identity(basis.dim)
         assert (plus @ minus).is_zero()
         assert plus @ plus == plus
-        assert plus.trace() == ExactScalar(basis.dim // 2)
+        assert helpers.trace(plus) == ExactScalar(basis.dim // 2)
 
 
 def test_weyl_projector_d2_explicit(bases):
@@ -677,5 +666,5 @@ def test_weyl_projector_d2_explicit(bases):
 
 def test_weyl_projector_rank_d6(bases):
     plus, minus = weyl_projectors(bases[6])
-    assert plus.trace() == ExactScalar(4)
-    assert minus.trace() == ExactScalar(4)
+    assert helpers.trace(plus) == ExactScalar(4)
+    assert helpers.trace(minus) == ExactScalar(4)
