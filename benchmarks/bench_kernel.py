@@ -68,8 +68,8 @@ def spinor_R(basis, x, perturb_k=None):
 
 def streamed(a, b, c, n):
     left, right = (0, 1), (1, 2)
-    rows = _core.slot_rows(((((a._rows, left), (b._rows, right), (c._rows, left)), 1),
-                            (((c._rows, right), (b._rows, left), (a._rows, right)), -1)),
+    rows = _core.slot_rows(((a._rows, left), (b._rows, right), (c._rows, left)),
+                           ((c._rows, right), (b._rows, left), (a._rows, right)),
                            (n, n, n), range(n ** 3))
     return SparseOperator(n ** 3, dict(rows), a._den * b._den * c._den)
 

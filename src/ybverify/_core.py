@@ -199,26 +199,24 @@ def _affine(times, scale, shift):
     return apply
 
 
-def slot_rows(sides, dims, rows):
+def slot_rows(lhs, rhs, dims, rows):
     """Yield (r, row) for each index r in ``rows`` whose row of
-    sum_s w_s X1 X2 X3 is nonzero, on three slots of dimensions
-    dims = (d0, d1, d2), for the (factors, w) pairs in ``sides``: w an
-    integer weight and factors a triple of (grid, slots) or
-    (grid, slots, scale, shift) factors.  A grid on slots (0, 1) acts as
-    X (x) 1, on (1, 2) as 1 (x) X, and on (0, 1, 2) on the whole space;
-    with integers (scale, shift) it acts as scale X + shift 1.
-    Row-wise (Gustavson): row r of a side is w e_r met by its factors one
+    X1 X2 X3 - Y1 Y2 Y3 is nonzero, on three slots of dimensions
+    dims = (d0, d1, d2), for the factor triples lhs = (X1, X2, X3) and
+    rhs = (Y1, Y2, Y3); of X1 X2 X3 alone when ``rhs`` is None.  A factor
+    is (grid, slots) or (grid, slots, scale, shift).  A grid on slots
+    (0, 1) acts as X (x) 1, on (1, 2) as 1 (x) X, and on (0, 1, 2) on the
+    whole space; with integers (scale, shift) it acts as scale X + shift 1.
+    Row-wise (Gustavson): row r of a side is +-e_r met by its factors one
     at a time, each by index arithmetic, so no embedded factor or product
-    is stored.  Sides over different integer denominators meet over a
-    common one when each w is that denominator over its side's; the
-    Yang-Baxter residual takes w = 1 and -1.  Float grids stream as well."""
+    is stored.  Float grids stream as well."""
     d0, d1, d2 = dims
     # slots -> (times, stride): times applies the factor to a row vector
     tags = {(0, 1): (_times_left, d2), (1, 2): (_times_right, d1 * d2),
             (0, 1, 2): (_times_right, d0 * d1 * d2)}
     chains = []
-    for factors, w in sides:
-        chain = [(w, 0)]
+    for factors, sign in [(lhs, (1, 0))] + ([] if rhs is None else [(rhs, (-1, 0))]):
+        chain = [sign]
         # a (grid, slots) factor is (grid, slots, 1, 0)
         for x, s, scale, shift in ((*f, 1, 0)[:4] for f in factors):
             times, stride = tags[s]
@@ -227,8 +225,8 @@ def slot_rows(sides, dims, rows):
         chains.append(chain)
     for r in rows:
         acc = {}
-        for w, times1, x1, n1, times2, x2, n2, times3, x3, n3 in chains:
-            times3(times2(times1({r: w}, x1, n1, {}), x2, n2, {}), x3, n3, acc)
+        for sign, times1, x1, n1, times2, x2, n2, times3, x3, n3 in chains:
+            times3(times2(times1({r: sign}, x1, n1, {}), x2, n2, {}), x3, n3, acc)
         row = _nonzero(acc)
         if row:
             yield r, row

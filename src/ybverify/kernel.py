@@ -615,7 +615,7 @@ def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
         if symmetry.certifies((0, 1), *_uncertified(symmetry.lifts[0], (a, b, c))):
             rows = symmetry.rows
     lhs = (a._rows, b._rows, c._rows)
-    stream = _k.slot_rows(_yb_sides(lhs, lhs[::-1] if with_rhs else None), (n, n, n), rows)
+    stream = _k.slot_rows(*_yb_sides(lhs, lhs[::-1] if with_rhs else None), (n, n, n), rows)
     return _first_row(stream, n ** 3, a._den * b._den * c._den)
 
 
@@ -625,15 +625,15 @@ def yb_float_max(lhs, rhs, n: int, rows) -> float:
     V (x) V (x) V, dim V = n, for float grids lhs = (A1, A2, A3) and
     rhs = (B1, B2, B3) from ``PatternTable.float_combination``; of the lhs
     alone when ``rhs`` is None.  Rows stream as in ``yb_first_row``."""
-    return max((hypot(*v) for _, row in _k.slot_rows(_yb_sides(lhs, rhs), (n, n, n), rows)
+    return max((hypot(*v) for _, row in _k.slot_rows(*_yb_sides(lhs, rhs), (n, n, n), rows)
                 for v in row.values()), default=0.0)
 
 
 def _yb_sides(lhs, rhs):
-    """The ``_core.slot_rows`` sides of ``yb_float_max``, the rhs negated."""
+    """The ``_core.slot_rows`` lhs and rhs (None: no rhs) of ``yb_float_max``."""
     left, right = (0, 1), (1, 2)
-    return [(zip(lhs, (left, right, left)), 1)] + (
-        [(zip(rhs, (right, left, right)), -1)] if rhs is not None else [])
+    return (tuple(zip(lhs, (left, right, left))),
+            None if rhs is None else tuple(zip(rhs, (right, left, right))))
 
 
 def rll_first_row(R: SparseOperator, K: SparseOperator, u, v, n: int, m: int,
@@ -675,8 +675,7 @@ def rll_first_row(R: SparseOperator, K: SparseOperator, u, v, n: int, m: int,
         return _k.shifted_grid(K._rows, K.dim, x.denominator, x.numerator * K._den), (1, 2)
 
     R12 = (R._rows, (0, 1))
-    stream = _k.slot_rows((((R12, L13(u), L23(v)), 1), ((L13(v), L23(u), R12), -1)),
-                          dims, rows)
+    stream = _k.slot_rows((R12, L13(u), L23(v)), (L13(v), L23(u), R12), dims, rows)
     return _first_row(stream, n * n * m,
                       R._den * u.denominator * v.denominator * K._den ** 2)
 

@@ -20,7 +20,7 @@ from .clifford import (GammaBasis, antisym_product, as_exp_components,
                        as_exponential, build_gamma, exchange_pair, graded_rep)
 from .kernel import ExactScalar, SparseOperator, kron, rll_first_row, yb_first_row
 from .rmatrix import (Normalization, Parity, QuantumRep, RepChoice,
-                      assemble_spinor_R, coefficients, fundamental_L0,
+                      assemble_spinor_R, coefficients, factor_table, fundamental_L0,
                       fundamental_R0, normalization_weights,
                       product_form_slope_at_zero, projectors, quantum_L,
                       require_perturb_k, so_defining_rep)
@@ -159,6 +159,9 @@ def check_ybe(d, u, v, norm=Normalization.PRODUCT_FORM, rep=RepChoice.PRIMED,
         if (d, perturb_k) == (2, 1):
             raise ValueError("perturb_k=1 cannot fail at d=2: the d=2 Yang-Baxter "
                              "relation holds for any R_1")
+        if not any(num or den for _, num, den in factor_table(d, norm)):
+            raise ValueError(f"perturb_k={perturb_k} cannot fail at d={d} under the {norm.value} "
+                             "normalization: no coefficient depends on u")
         params["perturb_k"] = perturb_k
     n = basis.dim
     cap = budget_dim(budget)

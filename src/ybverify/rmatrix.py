@@ -212,40 +212,37 @@ def assemble_spinor_R(basis: GammaBasis, table: CoefficientTable,
                       rep: RepChoice = RepChoice.NAIVE,
                       parity: Parity = Parity.FULL) -> SparseOperator:
     """Sum_k R_k(u) T_k restricted to the requested parity, with the chosen
-    chirality dressing applied to the odd part.
+    chirality dressing applied to the odd part: one combination of a
+    certified family, the T_k for the naive rep and the S_k otherwise.
 
     The primed dressing T_k (gamma5^k (x) 1) is s_k S_k, with S_k the
     As-components of E(t) and s_k = (-1)^(k(k-1)/2), so the primed matrix is
-    Sum_k s_k R_k(u) S_k: the sign goes on the coefficient.  Each parity
-    part is the pattern map of its family (``clifford.component_family``
-    of the T_k, or of the S_k for the primed rep): the coefficients over one
-    denominator, one dot product per weight pattern, written to the
-    pattern's positions.  A part from a family that passed its certificate
-    carries the Weyl lifts as its ``certified_lifts`` mark.  The
-    double-primed odd part is -(Sum_odd R_k T_k)(1 (x) gamma5), a product,
-    and carries no mark.
+    Sum_k s_k R_k(u) S_k: the sign goes on the coefficient.  As
+    gamma5 (x) gamma5 = (-1)^(d/2) T_d and T_k T_d = T_(d-k), an odd k has
+    T_k (1 (x) gamma5) = (-1)^(d/2) s_(d-k) S_(d-k), so the double-primed
+    matrix, whose odd part is -(Sum_odd R_k T_k)(1 (x) gamma5), is
+    Sum_even s_k R_k S_k - (-1)^(d/2) Sum_odd s_k R_(d-k) S_k.  The
+    combination is the pattern map of the family
+    (``clifford.component_family``): the coefficients over one denominator,
+    one dot product per weight pattern, written to the pattern's positions;
+    a certified family marks it with the Weyl lifts (``certified_lifts``).
     """
     if table.d != basis.d:
         raise ValueError(f"table is for d={table.d}, basis for d={basis.d}")
-    primed = rep is RepChoice.PRIMED
-    if primed:
-        comps = as_exp_components(basis)
+    d, values = basis.d, table.values
+    ks = {Parity.EVEN: range(0, d + 1, 2), Parity.ODD: range(1, d + 1, 2),
+          Parity.FULL: range(d + 1)}[parity]
+    if rep is RepChoice.NAIVE:
+        comps = tuple(basis.pair_contraction(k) for k in range(d + 1))
+        coeffs = {k: values[k] for k in ks}
     else:
-        comps = tuple(basis.pair_contraction(k) for k in range(basis.d + 1))
-    family = component_family(basis, comps)
-
-    def part(ks):
-        return family.combination(
-            {k: -table[k] if primed and (k * (k - 1) // 2) % 2 else table[k] for k in ks})
-
-    evens, odds = range(0, basis.d + 1, 2), range(1, basis.d + 1, 2)
-    if rep is RepChoice.DOUBLE_PRIMED and parity is not Parity.EVEN:
-        odd = part(odds)
-        if not odd.is_zero():
-            odd = -(odd @ kron(SparseOperator.identity(basis.dim), basis.gamma5))
-        return odd if parity is Parity.ODD else part(evens) + odd
-    return part({Parity.EVEN: evens, Parity.ODD: odds,
-                 Parity.FULL: range(basis.d + 1)}[parity])
+        # S_k takes s_k R_k, or -(-1)^(d/2) s_k R_(d-k) for a double-primed odd k
+        reflect = rep is RepChoice.DOUBLE_PRIMED
+        comps, coeffs = as_exp_components(basis), {}
+        for k in ks:
+            j, e = (d - k, d // 2 + 1) if reflect and k % 2 else (k, 0)
+            coeffs[k] = -values[j] if (k * (k - 1) // 2 + e) % 2 else values[j]
+    return component_family(basis, comps).combination(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -280,6 +280,21 @@ def test_perturb_k_that_cannot_fail_is_config_error(tmp_path, capsys):
     assert json.loads(out)["detail"] == "YBE: first residual -1/2 at entry (2,1)"
 
 
+@pytest.mark.parametrize("norm", ["unit", "beta"])
+def test_perturb_k_under_a_constant_table_is_config_error(tmp_path, capsys, norm):
+    # no d=2 unit or beta coefficient depends on u, so these controls used
+    # to PASS and exit 0, for every k and rep
+    for k in (0, 2):
+        want = (2, "", f"ybv: error: perturb_k={k} cannot fail at d=2 under the {norm} "
+                       "normalization: no coefficient depends on u\n")
+        for rep in ("naive", "primed", "doubleprimed"):
+            argv = ["--d", "2", "--norm", norm, "--rep", rep, "--perturb-k", str(k)]
+            assert run_cli(["check", "ybe", *argv], capsys) == want
+            assert run_cli(["check", "ybe", *argv, "--budget-dim", "1"], capsys) == want
+        job = {"check": "ybe", "params": {"d": 2, "norm": norm, "perturb_k": k}}
+        assert _run_suite(tmp_path, capsys, [job]) == want
+
+
 @pytest.mark.parametrize("check_id", ["rll_quantum", "three_term", "unitarity", "local_ybe"])
 def test_perturb_k_on_a_check_that_ignores_it_is_config_error(tmp_path, capsys, check_id):
     # only ybe perturbs R_k; elsewhere the negative control used to pass

@@ -270,11 +270,10 @@ SLOT_TAGS = ((0, 1), (1, 2), (0, 1, 2))
 
 @st.composite
 def slot_operands(draw, affine=False):
-    """dims (n, n, m) with n, m in 1..3, the sides of a stream and a sorted
-    subset of the rows.  A side is (factors, weight): three integer
-    (grid, slots) factors, each grid sized for its random slot tag, with
-    weight 1 for the lhs and -1 for an optional rhs; with ``affine``, each
-    factor may carry a random (scale, shift) and each weight is random."""
+    """dims (n, n, m) with n, m in 1..3, the lhs and optional rhs of a
+    stream and a sorted subset of the rows.  A side is three integer
+    (grid, slots) factors, each grid sized for its random slot tag; with
+    ``affine``, each factor may carry a random (scale, shift)."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     size = {(0, 1): n * n, (1, 2): n * m, (0, 1, 2): n * n * m}
     parts = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
@@ -290,25 +289,21 @@ def slot_operands(draw, affine=False):
             return grid, slots, draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         return grid, slots
 
-    def weight(default):
-        return draw(st.integers(-4, 4)) if affine else default
-
-    sides = [(tuple(factor() for _ in range(3)), weight(1))]
-    if draw(st.booleans()):
-        sides.append((tuple(factor() for _ in range(3)), weight(-1)))
+    lhs = tuple(factor() for _ in range(3))
+    rhs = tuple(factor() for _ in range(3)) if draw(st.booleans()) else None
     rows = sorted(draw(st.sets(st.integers(0, n * n * m - 1))))
-    return (n, n, m), sides, rows
+    return (n, n, m), lhs, rhs, rows
 
 
-def _kron_chain(sides, dims, den=1):
-    """sum_s w_s X1 X2 X3 over the (factors, w) sides, each factor a grid
-    over ``den`` on its slots, as scale X + shift 1 when it carries
-    (scale, shift), embedded by Kronecker products with identities and
-    stored."""
+def _kron_chain(lhs, rhs, dims, den=1):
+    """X1 X2 X3 - Y1 Y2 Y3 for lhs = (X1, X2, X3) and rhs = (Y1, Y2, Y3),
+    or X1 X2 X3 alone when rhs is None, each factor a grid over ``den`` on
+    its slots, as scale X + shift 1 when it carries (scale, shift),
+    embedded by Kronecker products with identities and stored."""
     d0, d1, d2 = dims
     size = d0 * d1 * d2
     out = SparseOperator.zero(size)
-    for factors, w in sides:
+    for factors, w in ((lhs, 1), (rhs, -1)) if rhs is not None else ((lhs, 1),):
         side = SparseOperator.identity(size)
         for grid, slots, scale, shift in ((*f, 1, 0)[:4] for f in factors):
             op = SparseOperator({(0, 1): d0 * d1, (1, 2): d1 * d2}.get(slots, size), grid, den)
@@ -321,22 +316,26 @@ def _kron_chain(sides, dims, den=1):
     return out
 
 
-def _check_slot_rows(dims, sides, rows):
+def _check_slot_rows(dims, lhs, rhs, rows):
     size = dims[0] * dims[1] * dims[2]
-    want = _kron_chain(sides, dims)
-    assert SparseOperator(size, dict(_core.slot_rows(sides, dims, range(size)))) == want
+    want = _kron_chain(lhs, rhs, dims)
+    assert SparseOperator(size, dict(_core.slot_rows(lhs, rhs, dims, range(size)))) == want
     # only the rows asked for stream, in their order
-    got = list(_core.slot_rows(sides, dims, rows))
+    got = list(_core.slot_rows(lhs, rhs, dims, rows))
     assert [r for r, _ in got] == [r for r in rows if r in want._rows]
     # dyadic float grids are exact: each entry is a short sum of products
     # of quarters and small integers
-    quarters = [(tuple(({r: {c: (re / 4, im / 4) for c, (re, im) in row.items()}
-                         for r, row in f[0].items()}, *f[1:]) for f in factors), w)
-                for factors, w in sides]
+
+    def quarters(factors):
+        if factors is None:
+            return None
+        return tuple(({r: {c: (re / 4, im / 4) for c, (re, im) in row.items()}
+                       for r, row in f[0].items()}, *f[1:]) for f in factors)
+
     exact = {}
-    for (r, c), v in _kron_chain(sides, dims, den=4).items():
+    for (r, c), v in _kron_chain(lhs, rhs, dims, den=4).items():
         exact.setdefault(r, {})[c] = (float(v.re), float(v.im))
-    assert dict(_core.slot_rows(quarters, dims, range(size))) == exact
+    assert dict(_core.slot_rows(quarters(lhs), quarters(rhs), dims, range(size))) == exact
 
 
 @given(slot_operands())
@@ -347,7 +346,7 @@ def test_slot_rows_match_the_kron_chain(operands):
 
 @given(slot_operands(affine=True))
 @settings(deadline=None)
-def test_affine_factors_and_side_weights_match_the_kron_chain(operands):
+def test_affine_factors_match_the_kron_chain(operands):
     _check_slot_rows(*operands)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -15,7 +16,7 @@ from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               fundamental_R0, so_defining_rep, so_spinor_rep)
 
 from helpers import (brute_as_exponential, brute_graded_generators, coefficients_closed_form,
-                     rll_sides, streamed_yb, weyl_projectors, yb_sides)
+                     dressed_spinor_R, rll_sides, streamed_yb, weyl_projectors, yb_sides)
 
 U, V = Fraction(1, 2), Fraction(1, 3)
 LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
@@ -353,6 +354,55 @@ def test_yb_stream_matches_kron_chain_on_relation_operands(kind, d):
                 == lhs.first_nonzero())
 
 
+def test_ybe_d8_double_primed_perturbed_fails_like_the_product_oracle():
+    # the double-primed R moves R_3 onto S_5; the located entry is the one
+    # of the kron chain of the dressed R's, built with a (1 (x) gamma5) product
+    basis, rep = rel._basis(8), RepChoice.DOUBLE_PRIMED
+    tables = [rmatrix.coefficients(8, x, Normalization.PRODUCT_FORM) for x in (U, U + V, V)]
+    tables[0] = tables[0].perturbed(3)
+    lhs, rhs = yb_sides(*(dressed_spinor_R(basis, t, rep, Parity.FULL) for t in tables), 16)
+    (r, c), value = (lhs - rhs).first_nonzero()
+    report = rel.check_ybe(8, U, V, rep=rep, budget=100000, perturb_k=3)
+    assert report.detail == f"YBE: first residual {value} at entry ({r},{c})"
+    assert report.detail == "YBE: first residual -68425/972 at entry (1,137)"
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_double_primed_checks_certify_no_R_and_stream_orbit_minima(monkeypatch, d):
+    # the double-primed R is a combination of the certified S_k family, so
+    # it carries the Weyl lifts as its mark: once the families and K are
+    # certified, no stream certifies an operand and only orbit minima stream
+    rep, budget = RepChoice.DOUBLE_PRIMED, 100000
+
+    def run():
+        return [rel.check_ybe(d, U, V, rep=rep, budget=budget),
+                *(rel.check_three_term(d, U, V, signs, rep=rep, budget=budget)
+                  for signs in itertools.product("+-", repeat=3)),
+                rel.check_rll_fundamental(d, U, V, rep=rep, budget=budget)]
+
+    assert all(report.passed for report in run())
+    certified, streamed = [], []
+    certifies, slot_rows = RowSymmetry.certifies, _core.slot_rows
+
+    def certifies_spy(self, slots, *ops):
+        certified.extend(ops)
+        return certifies(self, slots, *ops)
+
+    def slot_rows_spy(lhs, rhs, dims, rows):
+        streamed.append(rows)
+        return slot_rows(lhs, rhs, dims, rows)
+
+    monkeypatch.setattr(RowSymmetry, "certifies", certifies_spy)
+    monkeypatch.setattr(_core, "slot_rows", slot_rows_spy)
+    assert all(report.passed for report in run())
+    assert certified == []
+    # ybe, the eight three-term residuals and four zero-product lhs, then RLL
+    basis = rel._basis(d)
+    assert len(streamed) == 14
+    assert all(rows is basis.row_symmetry().rows for rows in streamed[:-1])
+    assert streamed[-1] is basis.row_symmetry(so_defining_rep(d)).rows
+
+
 @pytest.mark.parametrize("k", [2, 5])
 def test_ybe_d8_perturbed_fails_like_kron_chain(k):
     lhs, rhs = yb_sides(*_spinor_triple(8, perturb_k=k), 16)
@@ -548,6 +598,32 @@ def test_perturbed_ybe_at_d2():
     # the table itself still takes the perturbation
     table = rmatrix.coefficients(2, U, Normalization.PRODUCT_FORM)
     assert table.perturbed(1)[1] == table[1] + 1
+
+
+def test_perturbed_constant_table_cannot_fail():
+    # with a table that has no factor (u + a), all three R's are one
+    # operator at every point, and the YBE residual stays zero whichever R_k
+    # of R(u) moves, for every rep: so check_ybe rejects any perturb_k there
+    # as a configuration error
+    pairs = []
+    for d in range(2, clifford.MAX_D + 1, 2):
+        for norm in Normalization:
+            try:
+                table = rmatrix.factor_table(d, norm)
+            except ValueError:  # a normalization defined at one d only
+                continue
+            if not any(num or den for _, num, den in table):
+                pairs.append((d, norm))
+    assert pairs == [(2, Normalization.UNIT), (2, Normalization.BETA_FORM)]
+    for d, norm in pairs:
+        basis = rel._basis(d)
+        for k, rep in itertools.product(range(d + 1), RepChoice):
+            tables = [rmatrix.coefficients(d, x, norm) for x in (U, U + V, V)]
+            tables[0] = tables[0].perturbed(k)
+            ops = [rmatrix.assemble_spinor_R(basis, table, rep) for table in tables]
+            assert yb_first_row(*ops, basis.dim).is_zero(), (d, norm, k, rep)
+            with pytest.raises(ValueError, match=f"perturb_k={k} cannot fail at d={d}"):
+                rel.check_ybe(d, U, V, norm, rep, budget=1, perturb_k=k)
 
 
 @pytest.mark.parametrize("rep", list(RepChoice))
@@ -762,9 +838,9 @@ def test_planted_non_invariant_coupling_streams_every_row(monkeypatch, name, d):
     seen = []
     slot_rows = _core.slot_rows
 
-    def spy(sides, dims, rows):
+    def spy(lhs, rhs, dims, rows):
         seen.append(rows)
-        return slot_rows(sides, dims, rows)
+        return slot_rows(lhs, rhs, dims, rows)
 
     monkeypatch.setattr(_core, "slot_rows", spy)
     lhs, rhs = rll_sides(R, Lu, Lv, basis.dim, q.m)

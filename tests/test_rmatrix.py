@@ -283,16 +283,32 @@ def test_assemble_parity_split(bases):
         assert even + odd == full
 
 
-@pytest.mark.parametrize("d", [2, 4, 6, 8])
-def test_assemble_matches_dressed_oracle(bases, d):
-    # the primed rep sums s_k R_k S_k; the oracle dresses the summed odd part
-    # (at u = 0 the even product-form coefficients vanish)
-    for u in (Fraction(1, 2), Fraction(-3, 7), Fraction(2), Fraction(0)):
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+def test_odd_contraction_times_second_chirality_is_a_component(d):
+    # gamma5 (x) gamma5 = (-1)^(d/2) T_d and T_k T_d = T_(d-k), so for odd k
+    # T_k (1 (x) gamma5) = (-1)^(d/2) s_(d-k) S_(d-k): the identity that
+    # makes the double-primed R a combination of the S_k
+    basis = relations._basis(d)
+    comps = as_exp_components(basis)
+    dress = kron(SparseOperator.identity(basis.dim), basis.gamma5)
+    for k in range(1, d + 1, 2):
+        sign = (-1) ** (d // 2 + (d - k) * (d - k - 1) // 2)
+        assert basis.pair_contraction(k) @ dress == comps[d - k].scale(sign), k
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+def test_assemble_matches_dressed_oracle(d):
+    # the primed and double-primed reps sum coefficients times S_k; the
+    # oracle dresses the summed odd part with a product (at u = 0 the even
+    # product-form coefficients vanish)
+    basis = relations._basis(d)
+    points = (Fraction(1, 2), Fraction(-3, 7)) + ((Fraction(2), Fraction(0)) if d < 10 else ())
+    for u in points:
         table = coefficients(d, u, Normalization.PRODUCT_FORM)
         for rep in RepChoice:
             for parity in Parity:
-                want = dressed_spinor_R(bases[d], table, rep, parity)
-                assert assemble_spinor_R(bases[d], table, rep, parity) == want, (u, rep, parity)
+                want = dressed_spinor_R(basis, table, rep, parity)
+                assert assemble_spinor_R(basis, table, rep, parity) == want, (u, rep, parity)
 
 
 @st.composite
@@ -337,9 +353,9 @@ def _streamed_rows(monkeypatch):
     seen = []
     slot_rows = _core.slot_rows
 
-    def spy(sides, dims, rows):
+    def spy(lhs, rhs, dims, rows):
         seen.append(rows)
-        return slot_rows(sides, dims, rows)
+        return slot_rows(lhs, rhs, dims, rows)
 
     monkeypatch.setattr(_core, "slot_rows", spy)
     return seen
@@ -347,14 +363,14 @@ def _streamed_rows(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
 def test_assembled_R_carries_the_weyl_lifts(bases, d):
+    # every rep and parity is one combination of a certified family, the
+    # double-primed odd part included
     basis = bases[d]
     table = coefficients(d, Fraction(1, 2), Normalization.PRODUCT_FORM)
     for rep in RepChoice:
         for parity in Parity:
             R = assemble_spinor_R(basis, table, rep, parity)
-            dressed = rep is RepChoice.DOUBLE_PRIMED and parity is not Parity.EVEN
-            # the double-primed odd part is a product, and products are unmarked
-            assert R.certified_lifts == (None if dressed else basis.weyl_lifts()), (rep, parity)
+            assert R.certified_lifts == basis.weyl_lifts(), (rep, parity)
     assert as_exponential(basis, Fraction(1, 3)).certified_lifts == basis.weyl_lifts()
 
 
