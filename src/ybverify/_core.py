@@ -11,33 +11,16 @@ from math import gcd
 BACKEND = "python"
 
 
-def mul_grid(arows, brows):
-    """Row-major sparse product of two grids (Gaussian-integer entries)."""
+def mul_grid(arows, brows, dim):
+    """Row-major sparse product of two dim x dim grids (Gaussian-integer
+    entries): row i of A B is row i of A times B, ``_times_right`` with
+    B on the whole space."""
     crows = {}
     for i, arow in arows.items():
-        row = _nonzero(_row_times(arow, brows, {}))
+        row = _nonzero(_times_right(arow, brows, dim, {}))
         if row:
             crows[i] = row
     return crows
-
-
-def _row_times(vec, brows, out):
-    """Add the row vector vec times the grid B into out, an accumulator
-    {col: [re, im]}.  Vectors are {col: (re, im)} or {col: [re, im]}."""
-    for j, (vr, vi) in vec.items():
-        brow = brows.get(j)
-        if brow is None:
-            continue
-        for k, (br, bi) in brow.items():
-            re = vr * br - vi * bi
-            im = vr * bi + vi * br
-            cur = out.get(k)
-            if cur is None:
-                out[k] = [re, im]
-            else:
-                cur[0] += re
-                cur[1] += im
-    return out
 
 
 def _nonzero(acc):
@@ -45,84 +28,33 @@ def _nonzero(acc):
     return {col: (v[0], v[1]) for col, v in acc.items() if v[0] or v[1]}
 
 
-def add_grids(arows, brows, sa, sb):
-    """sa*A + sb*B with plain integer scale factors (common-denominator step)."""
-    crows = {}
-    for i, arow in arows.items():
-        crows[i] = {j: (sa * v[0], sa * v[1]) for j, v in arow.items()}
-    for i, brow in brows.items():
-        crow = crows.get(i)
-        if crow is None:
-            crows[i] = {j: (sb * v[0], sb * v[1]) for j, v in brow.items()}
-            continue
-        for j, v in brow.items():
-            cur = crow.get(j)
-            if cur is None:
-                crow[j] = (sb * v[0], sb * v[1])
-            else:
-                re = cur[0] + sb * v[0]
-                im = cur[1] + sb * v[1]
-                if re or im:
-                    crow[j] = (re, im)
-                else:
-                    del crow[j]
-    return {i: row for i, row in crows.items() if row}
-
-
-def scale_grid(rows, gre, gim):
-    """Multiply every entry by the Gaussian integer gre + i*gim."""
-    if gre == 0 and gim == 0:
-        return {}
-    out = {}
-    for i, row in rows.items():
-        out[i] = {
-            j: (gre * v[0] - gim * v[1], gre * v[1] + gim * v[0])
-            for j, v in row.items()
-        }
-    return out
-
-
-def shifted_grid(rows, dim, scale, shift):
-    """scale*A + shift*1 for a dim x dim grid A and integers scale > 0 and
-    shift, cancelled diagonal entries dropped; A itself for (1, 0), as no
-    grid is ever changed in place."""
-    if (scale, shift) == (1, 0):
-        return rows
-    out = scale_grid(rows, scale, 0)
-    for i in range(dim) if shift else ():
-        row = out.setdefault(i, {})
-        re, im = row.pop(i, (0, 0))
-        if re + shift or im:
-            row[i] = (re + shift, im)
-        elif not row:
-            del out[i]
-    return out
-
-
 def combine_grids(terms):
     """Sum of (gre + i*gim) * A over the (grid, gre, gim) triples in
-    ``terms``, accumulated in one grid."""
-    acc = {}
+    ``terms``, zeros dropped: the one linear combination of grids.  A row
+    first met is copied scaled; each later entry is merged into it, and an
+    entry that cancels is deleted."""
+    out = {}
     for rows, gre, gim in terms:
+        if not (gre or gim):
+            continue
         for i, row in rows.items():
-            arow = acc.get(i)
-            if arow is None:
-                arow = acc[i] = {}
+            orow = out.get(i)
+            if orow is None:
+                out[i] = {j: (gre * vr - gim * vi, gre * vi + gim * vr)
+                          for j, (vr, vi) in row.items()}
+                continue
             for j, (vr, vi) in row.items():
                 re = gre * vr - gim * vi
                 im = gre * vi + gim * vr
-                cur = arow.get(j)
-                if cur is None:
-                    arow[j] = [re, im]
-                else:
-                    cur[0] += re
-                    cur[1] += im
-    out = {}
-    for i, arow in acc.items():
-        row = _nonzero(arow)
-        if row:
-            out[i] = row
-    return out
+                cur = orow.get(j)
+                if cur is not None:
+                    re += cur[0]
+                    im += cur[1]
+                    if not (re or im):
+                        del orow[j]
+                        continue
+                orow[j] = (re, im)
+    return {i: row for i, row in out.items() if row}
 
 
 def kron_grid(arows, brows, bdim):
@@ -168,7 +100,7 @@ def _times_left(vec, xrows, n, out):
 def _times_right(vec, xrows, n2, out):
     """Add the row vector vec (1 (x) X) into out, X on the last n2
     indices: entry i*n2 + q of vec meets row q of X and lands at
-    i*n2 + q'."""
+    i*n2 + q'.  Vectors are {col: (re, im)} or {col: [re, im]}."""
     for x, (vr, vi) in vec.items():
         q = x % n2
         xrow = xrows.get(q)
@@ -199,7 +131,7 @@ def _affine(times, scale, shift):
     return apply
 
 
-def slot_rows(lhs, rhs, dims, rows):
+def slot_rows(lhs, rhs, dims, rows, with_lhs=False):
     """Yield (r, row) for each index r in ``rows`` whose row of
     X1 X2 X3 - Y1 Y2 Y3 is nonzero, on three slots of dimensions
     dims = (d0, d1, d2), for the factor triples lhs = (X1, X2, X3) and
@@ -209,7 +141,10 @@ def slot_rows(lhs, rhs, dims, rows):
     whole space; with integers (scale, shift) it acts as scale X + shift 1.
     Row-wise (Gustavson): row r of a side is +-e_r met by its factors one
     at a time, each by index arithmetic, so no embedded factor or product
-    is stored.  Float grids stream as well."""
+    is stored.  Float grids stream as well.  With ``with_lhs``, yield
+    (r, lhs_row, row) for every r, lhs_row the row of X1 X2 X3 alone, from
+    the same pass: the lhs is taken from the accumulator before the rhs
+    joins it."""
     d0, d1, d2 = dims
     # slots -> (times, stride): times applies the factor to a row vector
     tags = {(0, 1): (_times_left, d2), (1, 2): (_times_right, d1 * d2),
@@ -225,10 +160,14 @@ def slot_rows(lhs, rhs, dims, rows):
         chains.append(chain)
     for r in rows:
         acc = {}
-        for sign, times1, x1, n1, times2, x2, n2, times3, x3, n3 in chains:
+        for k, (sign, times1, x1, n1, times2, x2, n2, times3, x3, n3) in enumerate(chains):
             times3(times2(times1({r: sign}, x1, n1, {}), x2, n2, {}), x3, n3, acc)
+            if with_lhs and k == 0:
+                lhs_row = _nonzero(acc)
         row = _nonzero(acc)
-        if row:
+        if with_lhs:
+            yield r, lhs_row, row
+        elif row:
             yield r, row
 
 

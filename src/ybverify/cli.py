@@ -16,6 +16,7 @@ import functools
 import importlib
 import itertools
 import json
+import math
 import random
 import sys
 from collections.abc import Callable
@@ -38,6 +39,16 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def tolerance(text: str) -> float:
+    """A tolerance: a finite positive float.  Every float check compares a
+    residual against it, so 0, a negative value, nan or inf would make each
+    verdict a constant, and a nan would be no JSON number."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
 
 
 def _quantum_rep(name: str, d: int):
@@ -313,7 +324,7 @@ def _add_job_options(parser, check=False):
     add("--v", type=_frac)
     add("--norm", choices=sorted(_NORMS))
     add("--rep", choices=sorted(_REPS))
-    add("--tol", type=float)
+    add("--tol", type=tolerance)
     add("--seed", type=int)
     add("--budget-dim", type=int, help="skip exact checks and local_ybe at or above "
                                        "this dimension (default 4096; env YBV_BUDGET_DIM)")

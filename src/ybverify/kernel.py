@@ -110,6 +110,18 @@ def _coerce(value):
     return NotImplemented
 
 
+def _gaussian(c) -> tuple:
+    """(gre, gim, q) with c = (gre + i gim) / q and q > 0 least, for an
+    exact scalar c (int, Fraction or ExactScalar)."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if not isinstance(c, ExactScalar):
+        c = ExactScalar(c)
+    re, im = c.re, c.im
+    q = lcm(re.denominator, im.denominator)
+    return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
+
+
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 I = ExactScalar(0, 1)
@@ -165,24 +177,18 @@ class SparseOperator:
     def from_entries(cls, dim: int, entries) -> "SparseOperator":
         """Build from a {(row, col): value} mapping; values may be int,
         Fraction, ExactScalar or (re, im) pairs."""
-        scalars = {}
+        gaussians = {}
         den = 1
         for (r, c), v in entries.items():
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry ({r},{c}) outside dimension {dim}")
-            if isinstance(v, tuple):
-                v = ExactScalar(*v)
-            elif not isinstance(v, ExactScalar):
-                v = ExactScalar(v)
-            if v:
-                scalars[(r, c)] = v
-                den = lcm(den, v.re.denominator, v.im.denominator)
+            gre, gim, q = _gaussian(ExactScalar(*v) if isinstance(v, tuple) else v)
+            if gre or gim:
+                gaussians[(r, c)] = gre, gim, q
+                den = lcm(den, q)
         rows = {}
-        for (r, c), v in scalars.items():
-            rows.setdefault(r, {})[c] = (
-                int(v.re * den),
-                int(v.im * den),
-            )
+        for (r, c), (gre, gim, q) in gaussians.items():
+            rows.setdefault(r, {})[c] = (gre * (den // q), gim * (den // q))
         return cls(dim, rows, den)
 
     # -- inspection --------------------------------------------------------
@@ -246,58 +252,30 @@ class SparseOperator:
     def __add__(self, other):
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        den = lcm(self._den, other._den)
-        rows = _k.add_grids(self._rows, other._rows, den // self._den, den // other._den)
-        return SparseOperator(self.dim, rows, den)
+        return combination([(self, 1), (other, 1)], self.dim)
 
     def __sub__(self, other):
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        den = lcm(self._den, other._den)
-        rows = _k.add_grids(self._rows, other._rows, den // self._den, -(den // other._den))
-        return SparseOperator(self.dim, rows, den)
+        return combination([(self, 1), (other, -1)], self.dim)
 
     def __neg__(self):
-        return SparseOperator(self.dim, _k.scale_grid(self._rows, -1, 0), self._den,
-                              _normalized=True)
+        return combination([(self, -1)], self.dim)
 
     def scale(self, s) -> "SparseOperator":
         """Multiply by an exact scalar (int, Fraction or ExactScalar)."""
-        if not isinstance(s, ExactScalar):
-            s = ExactScalar(s)
-        if not s:
-            return SparseOperator.zero(self.dim)
-        q = lcm(s.re.denominator, s.im.denominator)
-        gre = int(s.re * q)
-        gim = int(s.im * q)
-        rows = _k.scale_grid(self._rows, gre, gim)
-        return SparseOperator(self.dim, rows, self._den * q)
+        return combination([(self, s)], self.dim)
 
     def shifted(self, u) -> "SparseOperator":
-        """self + u 1 for a rational u = a/b, without an identity operator:
-        over D = lcm(b, den), D/den times the grid with a D/b added on the
-        diagonal, cancelled entries dropped.  Only primes of gcd(b, den)
-        can divide the content: a prime of D/den divides b, not a D/b, so
-        no diagonal entry; one of D/b divides den, so not some numerator of
-        the canonical grid, nor that entry plus a D/b.  So gcd(b, den) = 1
-        means lowest terms."""
-        u = Fraction(u)
-        den = lcm(u.denominator, self._den)
-        rows = _k.shifted_grid(self._rows, self.dim, den // self._den,
-                               u.numerator * (den // u.denominator))
-        return SparseOperator(self.dim, rows, den,
-                              _normalized=gcd(u.denominator, self._den) == 1)
+        """self + u 1 for a rational u."""
+        return combination([(self, 1), (SparseOperator.identity(self.dim), u)], self.dim)
 
     def __matmul__(self, other):
         if not isinstance(other, SparseOperator):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        rows = _k.mul_grid(self._rows, other._rows)
+        rows = _k.mul_grid(self._rows, other._rows, self.dim)
         return SparseOperator(self.dim, rows, self._den * other._den)
 
     def __eq__(self, other):
@@ -322,19 +300,24 @@ def kron(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 
 def combination(terms, dim: int) -> SparseOperator:
     """Sum of c X over the (X, c) pairs in ``terms``, for dim-dimensional
-    operators X and exact scalars c: every scaled term is accumulated in one
-    grid over the lcm of the denominators, then normalized once."""
+    operators X and exact scalars c: the one path of every operator sum,
+    difference, negation, scale and shift.  Every scaled term is
+    accumulated in one grid over the lcm of the denominators, then
+    normalized once.  A lone term 1 X shares the grid of X, as no grid is
+    ever changed in place."""
     scaled, den = [], 1
     for op, c in terms:
         if op.dim != dim:
             raise ValueError(f"dimension mismatch: {op.dim} vs {dim}")
-        if not isinstance(c, ExactScalar):
-            c = ExactScalar(c)
-        if not c or not op._rows:
+        gre, gim, q = _gaussian(c)
+        if not (gre or gim) or not op._rows:
             continue
-        q = lcm(c.re.denominator, c.im.denominator)
-        scaled.append((op, int(c.re * q), int(c.im * q), op._den * q))
+        scaled.append((op, gre, gim, op._den * q))
         den = lcm(den, op._den * q)
+    if len(scaled) == 1:
+        op, gre, gim, sden = scaled[0]
+        if (gre, gim, sden) == (1, 0, op._den):  # the lone term is 1 X
+            return SparseOperator(dim, op._rows, den, _normalized=True)
     rows = _k.combine_grids([(op._rows, gre * (den // sden), gim * (den // sden))
                              for op, gre, gim, sden in scaled])
     return SparseOperator(dim, rows, den)
@@ -527,10 +510,9 @@ class PatternTable:
         positions of the nonzero patterns written, and one division by the
         gcd of the pattern values."""
         vectors, layout = self._table(tuple(coeffs))
-        cs = [c if isinstance(c, ExactScalar) else ExactScalar(c) for c in coeffs.values()]
-        q = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-        nums = [(c.re.numerator * (q // c.re.denominator),
-                 c.im.numerator * (q // c.im.denominator)) for c in cs]
+        gaussians = [_gaussian(c) for c in coeffs.values()]
+        q = lcm(*(qc for _, _, qc in gaussians))
+        nums = [(gre * (q // qc), gim * (q // qc)) for gre, gim, qc in gaussians]
         values = []
         for vec in vectors:
             re = im = 0
@@ -619,18 +601,23 @@ def yb_first_row(a: SparseOperator, b: SparseOperator, c: SparseOperator,
     return _first_row(stream, n ** 3, a._den * b._den * c._den)
 
 
-def yb_float_max(lhs, rhs, n: int, rows) -> float:
-    """The largest entry modulus, over the rows in ``rows``, of
-    (A1 (x) 1)(1 (x) A2)(A3 (x) 1) - (1 (x) B1)(B2 (x) 1)(1 (x) B3) on
-    V (x) V (x) V, dim V = n, for float grids lhs = (A1, A2, A3) and
-    rhs = (B1, B2, B3) from ``PatternTable.float_combination``; of the lhs
-    alone when ``rhs`` is None.  Rows stream as in ``yb_first_row``."""
-    return max((hypot(*v) for _, row in _k.slot_rows(*_yb_sides(lhs, rhs), (n, n, n), rows)
-                for v in row.values()), default=0.0)
+def yb_float_max(lhs, rhs, n: int, rows) -> tuple:
+    """(max |L|, max |L - R|), the largest entry moduli over the rows in
+    ``rows`` of L = (A1 (x) 1)(1 (x) A2)(A3 (x) 1) and of L - R, with
+    R = (1 (x) B1)(B2 (x) 1)(1 (x) B3), on V (x) V (x) V, dim V = n, for
+    float grids lhs = (A1, A2, A3) and rhs = (B1, B2, B3) from
+    ``PatternTable.float_combination``.  Rows stream as in
+    ``yb_first_row``, in one pass: each row meets the six factors once."""
+    lhs_max = diff_max = 0.0
+    for _, lhs_row, row in _k.slot_rows(*_yb_sides(lhs, rhs), (n, n, n), rows, with_lhs=True):
+        lhs_max = max([lhs_max, *(hypot(*v) for v in lhs_row.values())])
+        diff_max = max([diff_max, *(hypot(*v) for v in row.values())])
+    return lhs_max, diff_max
 
 
 def _yb_sides(lhs, rhs):
-    """The ``_core.slot_rows`` lhs and rhs (None: no rhs) of ``yb_float_max``."""
+    """The ``_core.slot_rows`` lhs and rhs (None: no rhs) of the
+    Yang-Baxter sides in ``yb_first_row`` and ``yb_float_max``."""
     left, right = (0, 1), (1, 2)
     return (tuple(zip(lhs, (left, right, left))),
             None if rhs is None else tuple(zip(rhs, (right, left, right))))
@@ -644,9 +631,9 @@ def rll_first_row(R: SparseOperator, K: SparseOperator, u, v, n: int, m: int,
     relation, returned as ``yb_first_row`` returns its residual.
 
     Rows stream as in ``yb_first_row``.  Each L(x) streams from K at both
-    of its slots as den(x) K + num(x) den(K) 1 over den(x) den(K): R12 and
-    L23 apply by index arithmetic, L23 as that grid, built per call, and
-    L13 as a scaled and shifted K13, embedded once per value of K and dims
+    of its slots as the affine factor den(x) K + num(x) den(K) 1 over
+    den(x) den(K), so no L grid is built: R12 and L23 apply by index
+    arithmetic, and L13 through K13, embedded once per value of K and dims
     (``_embedded13``).  Both sides are then over
     den(R) den(u) den(v) den(K)^2.  If ``symmetry``, on (V, V, W) with one
     set of lifts on both V slots, certifies R on slots (0, 1) and K on
@@ -668,14 +655,12 @@ def rll_first_row(R: SparseOperator, K: SparseOperator, u, v, n: int, m: int,
     u, v = Fraction(u), Fraction(v)
     K13 = _embedded13(K, dims)
 
-    def L13(x):
-        return K13, (0, 1, 2), x.denominator, x.numerator * K._den
-
-    def L23(x):
-        return _k.shifted_grid(K._rows, K.dim, x.denominator, x.numerator * K._den), (1, 2)
+    def L(grid, slots, x):
+        return grid, slots, x.denominator, x.numerator * K._den
 
     R12 = (R._rows, (0, 1))
-    stream = _k.slot_rows((R12, L13(u), L23(v)), (L13(v), L23(u), R12), dims, rows)
+    stream = _k.slot_rows((R12, L(K13, (0, 1, 2), u), L(K._rows, (1, 2), v)),
+                          (L(K13, (0, 1, 2), v), L(K._rows, (1, 2), u), R12), dims, rows)
     return _first_row(stream, n * n * m,
                       R._den * u.denominator * v.denominator * K._den ** 2)
 

@@ -204,9 +204,10 @@ def check_local_ybe(basis: GammaBasis, p: TripleXYZ,
     does.  The certificate is the pattern table's, taken once on the very
     components the factors are built from.
 
-    The residual is measured relative to the matrices' own scale (the
-    relation is covariant under rescaling, so an absolute entry tolerance
-    would be ill-posed for generically sized sample points).
+    The residual is measured relative to the matrices' own scale, the
+    largest lhs entry, taken from the same row stream (the relation is
+    covariant under rescaling, so an absolute entry tolerance would be
+    ill-posed for generically sized sample points).
     """
     params = {"d": basis.d, "x": str(p.x), "y": str(p.y), "z": str(p.z), "tol": tol}
     with _Timer() as t_:
@@ -217,8 +218,9 @@ def check_local_ybe(basis: GammaBasis, p: TripleXYZ,
         n = basis.dim
         rows = symmetry.rows if family.lifts == symmetry.lifts[0] else range(n ** 3)
         lhs, rhs = local_ybe_factors(family, p, q)
-        scale = max(1.0, yb_float_max(lhs, None, n, rows))
-        residual = yb_float_max(lhs, rhs, n, rows) / scale
+        lhs_max, diff_max = yb_float_max(lhs, rhs, n, rows)
+        scale = max(1.0, lhs_max)
+        residual = diff_max / scale
     status = Status.PASS if residual < tol else Status.FAIL
     return CheckReport("local_ybe", params, status, exact=False,
                        max_residual=residual, elapsed_ms=t_.elapsed_ms,

@@ -382,6 +382,36 @@ def rand_operator(rng: random.Random, dim: int, fill: int) -> SparseOperator:
     return SparseOperator.from_entries(dim, entries)
 
 
+def entry_dict(op):
+    """An operator as {(row, col): (re, im)} with Fraction parts, one key
+    per stored entry (a stored zero shows up as a (0, 0) value)."""
+    den = op._den
+    return {(r, c): (Fraction(re, den), Fraction(im, den))
+            for r, row in op._rows.items() for (c, (re, im)) in row.items()}
+
+
+def dict_combination(terms):
+    """sum c X over the (X, c) pairs in ``terms``, X an ``entry_dict`` and c
+    an int, Fraction or ExactScalar, entry by entry in Fractions, zero
+    entries dropped."""
+    out = {}
+    for entries, c in terms:
+        cr, ci = (c.re, c.im) if isinstance(c, ExactScalar) else (Fraction(c), 0)
+        for key, (vr, vi) in entries.items():
+            re, im = out.get(key, (0, 0))
+            out[key] = (re + cr * vr - ci * vi, im + cr * vi + ci * vr)
+    return {key: v for key, v in out.items() if v != (0, 0)}
+
+
+def is_canonical(op):
+    """True iff the operator's grid stores no zero entry and no empty row,
+    and its denominator is positive and coprime to every numerator part."""
+    parts = [x for row in op._rows.values() for v in row.values() for x in v]
+    return (op._den > 0 and all(op._rows.values())
+            and all(re or im for row in op._rows.values() for re, im in row.values())
+            and math.gcd(op._den, *parts) == 1)
+
+
 def parse_scalar(text):
     """Inverse of ``str(ExactScalar)``; accepts "p/q", "r/s*i" and
     "p/q+r/s*i" forms."""
@@ -577,6 +607,19 @@ def reciprocity_holds(table):
     sign = 1 if (d // 2) % 2 == 0 else -1
     return (all(table[k] == table[d - k] * sign for k in range(0, d + 1, 2))
             and all(table[k] == -(table[d - k] * sign) for k in range(1, d, 2)))
+
+
+def commutes_with_all_so_pairs(basis, R):
+    """True iff R on V (x) V commutes with gamma_ab (x) 1 + 1 (x) gamma_ab
+    for every a < b, not only the adjacent pairs, and with
+    gamma5 (x) gamma5: the all-pairs form of the symmetries check, with
+    gamma_ab from ``brute_antisym``."""
+    ident = SparseOperator.identity(basis.dim)
+    gens = [kron(basis.gamma5, basis.gamma5)]
+    for a, b in combinations(range(1, basis.d + 1), 2):
+        gab = brute_antisym(basis, (a, b))
+        gens.append(kron(gab, ident) + kron(ident, gab))
+    return all(gen @ R == R @ gen for gen in gens)
 
 
 def weyl_projectors(basis):

@@ -179,6 +179,19 @@ def test_nonpositive_points_in_suite_file_is_config_error(tmp_path, capsys):
     assert err.startswith("ybv: error: ") and "positive integer" in err
 
 
+@pytest.mark.parametrize("check", [c for c, entry in cli.CHECKS.items() if not entry.exact])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_that_is_not_finite_and_positive_is_config_error(tmp_path, capsys, check, tol):
+    with pytest.raises(SystemExit) as err:
+        main(["check", check, f"--tol={tol}"])
+    assert err.value.code == 2
+    assert "finite and positive" in capsys.readouterr().err
+    code, out, err = _run_suite(tmp_path, capsys, [{"check": check, "params": {"tol": tol}}])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ybv: error: ") and "finite and positive" in err
+
+
 def test_suite_file_rejects_params_no_check_option_has(tmp_path, capsys):
     # generating_product reads its point from u and v; an x would be ignored
     suite = [{"check": "generating_product", "params": {"d": 2, "x": "1/5", "y": "1/7"}}]

@@ -11,8 +11,9 @@ from ybverify.kernel import (ExactScalar, RowSymmetry, SparseOperator, combinati
 from ybverify.rmatrix import (Normalization, RepChoice, quantum_L, so_defining_rep,
                               so_spinor_rep)
 
-from helpers import (dense_kron, dense_mul, parse_scalar, rand_operator, rll_sides,
-                     streamed_rll, streamed_yb, trace, yb_sides)
+from helpers import (dense_kron, dense_mul, dict_combination, entry_dict, is_canonical,
+                     parse_scalar, rand_operator, rll_sides, streamed_rll, streamed_yb,
+                     trace, yb_sides)
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 scalars = st.builds(ExactScalar, fractions, fractions)
@@ -472,11 +473,50 @@ def test_combination_matches_scaled_sums(terms):
         combination([(SparseOperator.identity(2), 1)], 4)
 
 
+# few values, so that sums often cancel entries and leave a content
+_parts = st.sampled_from([-2, -1, Fraction(-1, 2), 0, Fraction(1, 3), Fraction(1, 2), 1])
+_small = st.builds(ExactScalar, _parts, _parts)
+_index3 = st.integers(0, 2)
+_ops3 = st.dictionaries(st.tuples(_index3, _index3), _small, max_size=9).map(
+    lambda entries: SparseOperator.from_entries(3, entries))
+
+
+@given(_ops3, _ops3, _small, _small, _parts)
+@settings(deadline=None)
+def test_every_linear_operation_is_the_fraction_oracle(a, b, c, c2, u):
+    # +, -, unary -, scale, shifted and combination all take one path; each
+    # must equal the entrywise Fraction sum and be canonical
+    A, B = entry_dict(a), entry_dict(b)
+    ident = {(i, i): (Fraction(1), Fraction(0)) for i in range(3)}
+    cases = [(a + b, [(A, 1), (B, 1)]), (a - b, [(A, 1), (B, -1)]), (-a, [(A, -1)]),
+             (a.scale(c), [(A, c)]), (a.shifted(u), [(A, 1), (ident, u)]),
+             (combination([(a, c), (b, c2), (a, 1)], 3), [(A, c), (B, c2), (A, 1)])]
+    for got, want in cases:
+        assert entry_dict(got) == dict_combination(want)
+        assert is_canonical(got), got._rows
+
+
+def test_a_lone_unit_term_shares_its_grid():
+    a = SparseOperator.from_entries(3, {(0, 1): Fraction(1, 2), (2, 2): ExactScalar(0, 3)})
+    for same in (combination([(a, 1)], 3), a.scale(1), a.shifted(0), a + SparseOperator.zero(3)):
+        assert same._rows is a._rows and same == a
+    assert a.scale(-1)._rows is not a._rows
+
+
+def test_quantum_L_at_zero_shares_the_grid_of_K():
+    # rll_first_row takes L(0) = K; a copy of K there cost 5-10% of an RLL op
+    basis, q = relations._basis(4), so_defining_rep(4)
+    L0 = quantum_L(basis, 0, q)
+    K, _ = q._couplings[basis]
+    assert L0._rows is K._rows
+    assert quantum_L(basis, Fraction(1, 2), q)._rows is not K._rows
+
+
 @given(st.integers(1, 5), st.data(), fractions)
 @settings(deadline=None)
 def test_shifted_is_the_canonical_sum_with_the_identity(dim, data, u):
-    # the diagonal may cancel, and the skipped gcd pass must still leave
-    # the canonical form, which == compares structurally
+    # the diagonal may cancel, and the sum must still be in the canonical
+    # form, which == compares structurally
     index = st.integers(0, dim - 1)
     entries = data.draw(st.dictionaries(st.tuples(index, index), scalars, max_size=dim * dim))
     for (i, _), v in list(entries.items()):

@@ -16,7 +16,8 @@ from ybverify.rmatrix import (Normalization, Parity, PoleError, RepChoice,
                               fundamental_R0, so_defining_rep, so_spinor_rep)
 
 from helpers import (brute_as_exponential, brute_graded_generators, coefficients_closed_form,
-                     dressed_spinor_R, rll_sides, streamed_yb, weyl_projectors, yb_sides)
+                     commutes_with_all_so_pairs, dressed_spinor_R, rll_sides, streamed_yb,
+                     weyl_projectors, yb_sides)
 
 U, V = Fraction(1, 2), Fraction(1, 3)
 LOCATED = re.compile(r"first residual \S+ at entry \(\d+,\d+\)$")
@@ -468,6 +469,38 @@ def test_symmetries_fail_with_planted_entry(planted_entry, d):
     report = rel.check_symmetries(d, Fraction(1))
     _fails_at(report, "so generator (1,2) on even part")
     assert report.detail.endswith("at entry (0,1)"), report.detail
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_symmetries_adjacent_generators_decide_as_all_pairs_do(monkeypatch, d):
+    # the check tests G_(a,a+1) only; with an operator planted in both
+    # parity parts its verdict must be that of every G_ab and the chirality
+    # pair, and a FAIL must name an adjacent generator
+    basis = rel._basis(d)
+    n2 = basis.dim ** 2
+    plants = [SparseOperator.from_entries(n2, entries) for entries in (
+        {(0, 1): 1}, {(0, 0): 1}, {(3, 5): ExactScalar(0, 2)}, {(n2 - 1, 0): Fraction(1, 3)},
+        {(n2 // 2, n2 // 3): -1, (n2 // 3, n2 // 2): 1})]
+    # two invariant plants, which must still PASS
+    plants += [SparseOperator.identity(n2).scale(3), kron(basis.gamma5, basis.gamma5)]
+    spinor_R = rel._spinor_R
+    verdicts = set()
+    for plant in plants:
+        parts = []
+
+        def planted(*args, **kwargs):
+            parts.append(spinor_R(*args, **kwargs) + plant)
+            return parts[-1]
+
+        monkeypatch.setattr(rel, "_spinor_R", planted)
+        report = rel.check_symmetries(d, Fraction(1))
+        assert report.passed == all(commutes_with_all_so_pairs(basis, R) for R in parts), plant
+        verdicts.add(report.passed)
+        if not report.passed:
+            a, b = map(int, re.match(r"so generator \((\d+),(\d+)\) on (?:even|odd) part: ",
+                                     report.detail).groups())
+            assert b == a + 1, report.detail
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("d", [2, 4])
